@@ -9,18 +9,16 @@ diffs two result files and fails on >15% median regression):
 * ``explore_present_full`` — the pinned NSGA-II exploration (PRESENT,
   population 10, 4 generations, seed 9) with incremental evaluation off:
   every individual pays the full ECO-place → route → STA → security
-  pipeline.  This case is additionally measured with the scalar reference
-  kernels (``REPRO_KERNELS=scalar``) to report the vectorized-kernel
-  speedup.
+  pipeline.
 * ``explore_present_incremental`` — the same exploration with the
   incremental engine on.
 
 Every measurement runs in a child process (clean peak-RSS high-water
 mark, no warm caches leaking between cases) with ``PYTHONPATH`` pinned
-to the repository ``src`` tree and ``REPRO_KERNELS`` set explicitly.
-Results land in ``BENCH_<rev>.json``: per case the median/p95 wall-clock
-over the repeats, peak RSS, and evaluations per second (counted by the
-flow itself via :mod:`repro.obs`).
+to the repository ``src`` tree.  Results land in ``BENCH_<rev>.json``:
+per case the median/p95 wall-clock over the repeats, peak RSS, and
+evaluations per second (counted by the flow itself via
+:mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.errors import ReproError
 
 #: Result-file schema version (bump on breaking layout changes).
-SCHEMA = 1
+#: 2: no per-case ``kernels`` field and no ``derived`` map.
+SCHEMA = 2
 
 #: The pinned exploration workload (overridable only for self-tests).
 PERF_DESIGN = "PRESENT"
@@ -119,9 +118,6 @@ CASES: Dict[str, Callable[[], int]] = {
     "explore_present_incremental": lambda: _run_explore(incremental=True),
 }
 
-#: The case whose scalar-kernel leg yields the reported speedup.
-SPEEDUP_CASE = "explore_present_full"
-
 
 def _peak_rss_kb() -> float:
     try:
@@ -160,27 +156,26 @@ def run_case_inline(case: str) -> Dict[str, float]:
 # ---------------------------------------------------------------------- #
 
 
-def _child_env(kernels: str) -> Dict[str, str]:
+def _child_env() -> Dict[str, str]:
     env = dict(os.environ)
     src = str(_src_dir())
     prior = env.get("PYTHONPATH", "")
     # Pin the repository src tree first so the child resolves the same
     # code under measurement regardless of the caller's install state.
     env["PYTHONPATH"] = src + (os.pathsep + prior if prior else "")
-    env["REPRO_KERNELS"] = kernels
     return env
 
 
-def _run_child(case: str, kernels: str) -> Dict[str, float]:
+def _run_child(case: str) -> Dict[str, float]:
     proc = subprocess.run(
         [sys.executable, "-m", "repro.bench.perf", "--child", case],
-        env=_child_env(kernels),
+        env=_child_env(),
         capture_output=True,
         text=True,
     )
     if proc.returncode != 0:
         raise ReproError(
-            f"bench case {case!r} ({kernels}) failed:\n{proc.stderr[-2000:]}"
+            f"bench case {case!r} failed:\n{proc.stderr[-2000:]}"
         )
     for line in reversed(proc.stdout.splitlines()):
         if line.startswith("{"):
@@ -200,12 +195,11 @@ def _p95(values: Sequence[float]) -> float:
     return s[min(int(round(0.95 * (len(s) - 1))), len(s) - 1)]
 
 
-def _aggregate(runs: List[Dict[str, float]], kernels: str) -> Dict[str, object]:
+def _aggregate(runs: List[Dict[str, float]]) -> Dict[str, object]:
     walls = [r["wall_s"] for r in runs]
     med = _median(walls)
     evals = runs[0]["evaluations"]
     return {
-        "kernels": kernels,
         "repeats": len(runs),
         "wall_s": {
             "median": med,
@@ -225,7 +219,6 @@ class SuiteOptions:
     quick: bool = False
     repeat: Optional[int] = None
     cases: Optional[List[str]] = None
-    with_scalar: bool = True
 
     def effective_repeat(self) -> int:
         if self.repeat is not None:
@@ -259,21 +252,9 @@ def run_suite(
     for case in names:
         runs = []
         for i in range(repeat):
-            say(f"{case} [vector] {i + 1}/{repeat} ...")
-            runs.append(_run_child(case, "vector"))
-        cases[case] = _aggregate(runs, "vector")
-    derived: Dict[str, float] = {}
-    if options.with_scalar and SPEEDUP_CASE in names:
-        runs = []
-        for i in range(repeat):
-            say(f"{SPEEDUP_CASE} [scalar] {i + 1}/{repeat} ...")
-            runs.append(_run_child(SPEEDUP_CASE, "scalar"))
-        scalar = _aggregate(runs, "scalar")
-        cases[SPEEDUP_CASE + "_scalar"] = scalar
-        vec_med = cases[SPEEDUP_CASE]["wall_s"]["median"]  # type: ignore[index]
-        sca_med = scalar["wall_s"]["median"]  # type: ignore[index]
-        if vec_med > 0:
-            derived["vector_speedup_full_eval"] = sca_med / vec_med
+            say(f"{case} {i + 1}/{repeat} ...")
+            runs.append(_run_child(case))
+        cases[case] = _aggregate(runs)
     return {
         "schema": SCHEMA,
         "rev": rev,
@@ -290,7 +271,6 @@ def run_suite(
             "platform": platform.platform(),
         },
         "cases": cases,
-        "derived": derived,
     }
 
 
@@ -319,7 +299,6 @@ def format_suite_table(record: Dict[str, object]) -> str:
         rows.append(
             [
                 name,
-                case["kernels"],
                 f"{wall['median']:.2f}",
                 f"{wall['p95']:.2f}",
                 f"{case['peak_rss_kb'] / 1024:.0f}",
@@ -327,16 +306,11 @@ def format_suite_table(record: Dict[str, object]) -> str:
             ]
         )
     title = f"repro bench — rev {record['rev']} ({record['mode']})"
-    table = format_table(
-        ["case", "kernels", "median s", "p95 s", "peak RSS MB", "evals/s"],
+    return format_table(
+        ["case", "median s", "p95 s", "peak RSS MB", "evals/s"],
         rows,
         title=title,
     )
-    derived = record.get("derived") or {}
-    if "vector_speedup_full_eval" in derived:  # type: ignore[operator]
-        speedup = derived["vector_speedup_full_eval"]  # type: ignore[index]
-        table += f"\nvector kernel speedup (full eval): {speedup:.2f}x"
-    return table
 
 
 def _child_main(case: str) -> int:

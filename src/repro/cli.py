@@ -641,7 +641,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         quick=args.quick,
         repeat=args.repeat,
         cases=args.case or None,
-        with_scalar=not args.no_scalar,
     )
     rev = git_rev()
     record = run_suite(
@@ -987,9 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeats per case (default 3, 1 with --quick)")
     p.add_argument("--case", action="append", default=[],
                    help="run only these cases (repeatable); default: all")
-    p.add_argument("--no-scalar", action="store_true",
-                   help="skip the scalar-kernel reference leg (no speedup "
-                        "figure)")
     p.add_argument("--out",
                    help="result path (default BENCH_<git rev>.json)")
     p.set_defaults(func=cmd_bench)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro import kernels
 from repro.errors import FlowError
 from repro.layout.gaps import GapGraph
 from repro.layout.layout import Layout
@@ -126,17 +125,6 @@ class _BelowGap:
         self.lo = lo
         self.hi = hi
         self.weight = weight
-
-
-def _below_weights(layout: Layout, row_idx: int) -> List[_BelowGap]:
-    """Gaps of ``row_idx − 1`` with the weight of their full component."""
-    if row_idx == 0:
-        return []
-    graph = _graph_upto(layout, row_idx - 1)
-    return [
-        _BelowGap(g.lo, g.hi, graph.component_weight_of(g))
-        for g in graph.row_gaps(row_idx - 1)
-    ]
 
 
 class _IncrementalBelow:
@@ -373,7 +361,7 @@ def _respace_pass(
     free_ratio = 1.0 - layout.utilization()
     pair_rows = free_ratio > 0.40
     half_cap = (quota + 1) // 2
-    tracker = _IncrementalBelow() if kernels.use_vector() else None
+    tracker = _IncrementalBelow()
     for row_idx in range(layout.num_rows):
         occ = layout.occupancy[row_idx]
         placements = list(occ)  # sorted by start
@@ -390,10 +378,7 @@ def _respace_pass(
                 movable_run.append(p)
         segments.append((seg_start, occ.row.num_sites, movable_run))
 
-        if tracker is not None:
-            below = tracker.below_gaps()
-        else:
-            below = _below_weights(layout, row_idx)
+        below = tracker.below_gaps()
         # "alternate": adjacent rows park their gaps (and leftover tails)
         # at opposite ends — best when most rows absorb their free budget.
         # "forward": every row scans rightward, consolidating all leftover
@@ -478,10 +463,9 @@ def _respace_pass(
                     report.moves += 1
                     report.shifted_sites += abs(new_start - old_start)
 
-        if tracker is not None:
-            # The row is final now; extend the incremental gap graph so the
-            # next row reads its below-weights without a full rebuild.
-            tracker.add_row(occ.free_intervals())
+        # The row is final now; extend the incremental gap graph so the
+        # next row reads its below-weights without a full rebuild.
+        tracker.add_row(occ.free_intervals())
 
 
 def _adopt_placements(dst: Layout, src: Layout) -> None:

@@ -1,51 +1,21 @@
-"""Numpy-vectorized evaluator kernels with scalar reference oracles.
+"""Numpy kernels for the evaluator hot paths.
 
-The evaluator hot paths — STA arrival/required propagation, exploitable-
-site scanning, router track accounting, and legalizer start search — each
-exist in two implementations: the original scalar Python code (kept as the
-reference oracle) and an array-based kernel in this package.  The kernels
-are written to be **bitwise equal** to the scalar paths: they apply the
-same IEEE-754 double operations in an order whose result is provably
-identical (max/min reductions are order-independent; elementwise numpy
-float64 arithmetic matches Python float arithmetic operation-for-
-operation), so the ``tests/incremental/`` differential harness and the
-``tests/kernels/`` equivalence suite pass under either selection.
+STA arrival/required propagation (:mod:`~repro.kernels.sta`), exploitable-
+site row filtering (:mod:`~repro.kernels.exploitable`), routing-grid track
+accounting and congestion probes (:mod:`~repro.kernels.routegrid`), and
+the legalizer start search and ECO receiving-target scan
+(:mod:`~repro.kernels.legalize`) are implemented only here: the flow
+calls these functions directly.
 
-Selection is dynamic via the ``REPRO_KERNELS`` environment variable:
-
-* ``vector`` (default) — numpy kernels.
-* ``scalar`` — the original per-element Python implementations.
+Each kernel is **bitwise equal** to the plain per-element Python reading
+of its definition.  Those scalar readings live in ``tests/oracles/`` and
+``tests/kernels/`` compares every kernel with its oracle on generated
+designs and randomized inputs.  The kernels apply the same IEEE-754
+double operations as the oracles, in an order whose result is provably
+identical: max/min reductions are order-independent, and elementwise
+numpy float64 arithmetic matches Python float arithmetic operation for
+operation.
 
 Kernels must not own randomness: any kernel needing an RNG takes a
 ``numpy.random.Generator`` argument (lint rule DET103 enforces this).
 """
-
-from __future__ import annotations
-
-import os
-
-from repro.errors import ReproError
-
-#: Environment variable selecting the kernel implementation.
-KERNELS_ENV = "REPRO_KERNELS"
-
-_VALID_MODES = ("vector", "scalar")
-
-
-def mode() -> str:
-    """Current kernel mode (``"vector"`` or ``"scalar"``).
-
-    Read from the environment on every call so tests and CI legs can flip
-    implementations without re-importing the package.
-    """
-    value = os.environ.get(KERNELS_ENV, "vector").strip().lower() or "vector"
-    if value not in _VALID_MODES:
-        raise ReproError(
-            f"{KERNELS_ENV}={value!r}: expected one of {_VALID_MODES}"
-        )
-    return value
-
-
-def use_vector() -> bool:
-    """Whether the vectorized kernels are selected."""
-    return mode() == "vector"

@@ -1,17 +1,19 @@
-"""Vectorized legal-start search for the Tetris legalizer.
+"""Vectorized legal-start search and receiving-target scan.
 
-The scalar ``_best_start_in_row`` enumerates free gaps, subtracts the
-budget-forbidden intervals with interval algebra, and clamps the target
-into each surviving piece.  This kernel evaluates the same search on a
-site bitmap: ``allowed[s]`` holds exactly when sites ``[s, s+width)`` are
-all free (a window-sum over a cached free-site cumsum) and no blockage
-budget forbids ``s`` (raw budget intervals marked with one difference
-array — no merge needed, the coverage union is the same set).
+The legalizer's start search asks for the start site in one row closest
+to a target such that ``width`` sites are free and no blockage budget is
+pushed over its cap.  The interval-algebra oracle enumerates free gaps,
+subtracts the budget-forbidden intervals and clamps the target into each
+surviving piece.  This kernel evaluates the same search on a site
+bitmap: ``allowed[s]`` holds exactly when sites ``[s, s+width)`` are all
+free (a window-sum over a cached free-site cumsum) and no blockage budget
+forbids ``s`` (raw budget intervals marked with one difference array —
+no merge needed, the coverage union is the same set).
 
 Bitwise-equality argument: a full free window necessarily lies inside one
-maximal gap, so the allowed set equals the union of the scalar pieces.
+maximal gap, so the allowed set equals the union of the oracle's pieces.
 Within a piece the integer cost ``|s − target|`` has a unique minimum (the
-clamp point the scalar picks); across pieces the scalar's first-strict-min
+clamp point the oracle picks); across pieces the oracle's first-strict-min
 over non-decreasing candidates resolves ties toward the smaller start,
 and ``np.argmin`` over ascending allowed indices does the same.
 
@@ -174,7 +176,14 @@ def _mask_forbidden(
     width: int,
     num_sites: int,
 ) -> None:
-    """Clear the starts each budget forbids (same bounds as the scalar)."""
+    """Clear the starts each budget forbids.
+
+    A budget with headroom ``h < width`` over row span ``[lo, hi)``
+    forbids exactly the starts whose overlap with the span exceeds ``h``:
+    ``start ∈ [lo − width + h + 1, hi − h)``.  Over-budget regions
+    (``h < 0``) still admit zero-overlap placements, so ``h`` is clamped
+    at 0.
+    """
     positions, span_lo, span_hi, max_used = arrays
     n_starts = allowed.shape[0]
     h = max_used - used[positions]
@@ -195,9 +204,19 @@ def _mask_forbidden(
     allowed &= np.cumsum(diff[:-1]) == 0
 
 
+def _budget_mirror(budgets: "BudgetSet") -> _BudgetArrays:
+    """The (cached, refreshed) array mirror of ``budgets``."""
+    mirror = _BUDGET_CACHE.get(budgets)
+    if mirror is None:
+        mirror = _BudgetArrays(budgets)
+        _BUDGET_CACHE[budgets] = mirror
+    mirror.refresh(budgets)
+    return mirror
+
+
 def _allowed_starts(
     layout: "Layout",
-    budgets: "BudgetSet | List[BlockageBudget]",
+    budgets: "BudgetSet",
     row: int,
     width: int,
 ) -> Optional[np.ndarray]:
@@ -207,47 +226,37 @@ def _allowed_starts(
     if width > num_sites:
         return None
 
-    mirror: Optional[_BudgetArrays] = None
+    mirror = _budget_mirror(budgets)
     key = (row, width)
-    if hasattr(budgets, "row_budgets"):
-        mirror = _BUDGET_CACHE.get(budgets)
-        if mirror is None:
-            mirror = _BudgetArrays(budgets)
-            _BUDGET_CACHE[budgets] = mirror
-        mirror.refresh(budgets)
-        epoch = mirror.row_epoch.get(row, 0)
-        cached = mirror.starts.get(key)
-        if (
-            cached is not None
-            and cached[0] == occ.version
-            and cached[1] == epoch
-        ):
-            return cached[2]
+    epoch = mirror.row_epoch.get(row, 0)
+    cached = mirror.starts.get(key)
+    if cached is not None and cached[0] == occ.version and cached[1] == epoch:
+        return cached[2]
 
     cc = _free_cumsum(occ)
     # allowed[s] ⇔ all of [s, s+width) free; length num_sites - width + 1.
     allowed = (cc[width:] - cc[:-width]) == width
     if allowed.any():
-        if mirror is not None:
-            arrays = mirror.row_arrays(budgets, row)
-            if arrays is not None:
-                _mask_forbidden(allowed, arrays, mirror.used, width, num_sites)
-        else:
-            _mask_budget_list(allowed, budgets, row, width, num_sites)
+        arrays = mirror.row_arrays(budgets, row)
+        if arrays is not None:
+            _mask_forbidden(allowed, arrays, mirror.used, width, num_sites)
     idx = np.nonzero(allowed)[0]
-    if mirror is not None:
-        mirror.starts[key] = (occ.version, epoch, idx)
+    mirror.starts[key] = (occ.version, epoch, idx)
     return idx
 
 
 def best_start_in_row(
     layout: "Layout",
-    budgets: "BudgetSet | List[BlockageBudget]",
+    budgets: "BudgetSet",
     row: int,
     target_site: int,
     width: int,
 ) -> Optional[int]:
-    """Drop-in for the legalizer's scalar ``_best_start_in_row``."""
+    """Feasible start site in ``row`` closest to ``target_site``.
+
+    Ties go to the smaller start; ``None`` when no start in the row is
+    both free for ``width`` sites and within every budget.
+    """
     idx = _allowed_starts(layout, budgets, row, width)
     if idx is None or idx.size == 0:
         return None
@@ -263,20 +272,28 @@ def receiving_target(
     median_pt: "Point",
     attract_point: "Optional[Point]",
 ) -> "Point":
-    """Drop-in for the ECO placer's scalar ``_receiving_target``.
+    """Where a cell evicted from ``source`` should aim.
+
+    The density caps describe a global flow: excess sites in over-budget
+    regions must drain into the regions with real headroom (in LDA these
+    are the asset-neighborhood tiles).  Aiming at the median alone makes
+    evictees diffuse into the next-door tile and the flow never reaches
+    the receivers, so the target is the nearest soft blockage with
+    headroom of at least ``width + 2`` sites (cost ``d − 0.02·headroom``:
+    prefer close, break ties by headroom), clamped toward the pull point
+    — ``attract_point`` when given, otherwise the cell's connected median
+    — to keep the wirelength impact as small as the flow allows.  With no
+    eligible blockage the target is ``median_pt``.
 
     One vector pass over all budgets: the Manhattan distance is the same
-    two-sided clamp ``max(lo − a, 0, a − hi)`` per axis, the cost the same
-    ``d − 0.02·headroom`` float64 expression, and ``np.argmin`` resolves
-    ties to the first index exactly like the scalar first-strict-min.
+    two-sided clamp ``max(lo − a, 0, a − hi)`` per axis as
+    :meth:`~repro.geometry.Rect.manhattan_distance_to_point`, and
+    ``np.argmin`` resolves ties to the first budget, like a first-strict-
+    min loop over the budgets in order.
     """
     from repro.geometry import Point
 
-    mirror = _BUDGET_CACHE.get(budgets)
-    if mirror is None:
-        mirror = _BudgetArrays(budgets)
-        _BUDGET_CACHE[budgets] = mirror
-    mirror.refresh(budgets)
+    mirror = _budget_mirror(budgets)
     xlo, ylo, xhi, yhi, soft, max_used = mirror.rect_arrays(budgets)
 
     anchor = (
@@ -300,25 +317,3 @@ def receiving_target(
     x = min(max(pull.x, rect.xlo), rect.xhi - 1e-6)
     y = min(max(pull.y, rect.ylo), rect.yhi - 1e-6)
     return Point(x, y)
-
-
-def _mask_budget_list(
-    allowed: np.ndarray,
-    budgets: "List[BlockageBudget]",
-    row: int,
-    width: int,
-    num_sites: int,
-) -> None:
-    """Uncached fallback for plain budget lists (tests, ad-hoc callers)."""
-    n_starts = allowed.shape[0]
-    for b in budgets:
-        span = b.row_span(row)
-        if span is None:
-            continue
-        h = max(b.max_used - b.used, 0)
-        if h >= width:
-            continue
-        lo = max(span.lo - width + h + 1, 0)
-        hi = min(span.hi - h, num_sites, n_starts)
-        if hi > lo:
-            allowed[lo:hi] = False

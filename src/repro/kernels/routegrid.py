@@ -1,22 +1,27 @@
 """Vectorized track-usage / overflow accounting over the gcell grid.
 
-The router's hot loops walk gcell lists cell-by-cell: committing demand,
-probing worst congestion along a candidate segment, and scanning routed
-segments against overflow masks.  Every gcell list produced by
-``_gcell_line`` is a contiguous straight run, so these all collapse to
-numpy slice operations.  :func:`as_span` recovers the run (and returns
-``None`` for a non-contiguous list, falling back to the scalar loop, so
-correctness never depends on the contiguity assumption).
+The router's hot loops walk gcell lists: committing demand, probing worst
+congestion along a candidate segment, and scanning routed segments
+against overflow masks.  Each of these collapses to one numpy slice
+operation per segment.
 
-Bitwise equality: slice ``+=`` touches each cell exactly once like the
-scalar loop; the congestion ratio ``(use + demand) / cap`` (``inf`` where
-``cap <= 0``) is the same elementwise IEEE division, and max/any
-reductions are order-independent.
+Precondition: every gcell list handed to this module is an *ascending
+straight run* — ``[(lo, y), (lo + 1, y), …, (hi, y)]`` or the same along
+a column.  :func:`as_span` reads only a list's endpoints, so a list that
+breaks the precondition is silently misread: ``[(0, 0), (4, 0), (2, 0)]``
+is taken as the run 0..2.  The router only ever builds such runs (the
+two-pin router materializes each chosen piece from its ``(lo, hi,
+fixed)`` span), so no per-call check guards the hot path.
+
+Bitwise equality with the per-gcell oracles: slice ``+=`` touches each
+cell exactly once like a per-cell loop; the congestion ratio
+``(use + demand) / cap`` (``inf`` where ``cap <= 0``) is the same
+elementwise IEEE division, and max/any reductions are order-independent.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,18 +29,13 @@ import numpy as np
 Span = Tuple[bool, int, int, int]
 
 
-def as_span(gcells: Sequence[Tuple[int, int]]) -> Optional[Span]:
-    """Recover the contiguous straight run of a gcell list, if it is one."""
-    n = len(gcells)
-    if n == 0:
-        return None
+def as_span(gcells: Sequence[Tuple[int, int]]) -> Span:
+    """The span of a non-empty ascending straight run of gcells."""
     x0, y0 = gcells[0]
     x1, y1 = gcells[-1]
-    if y0 == y1 and x1 - x0 + 1 == n:
+    if y0 == y1:
         return (True, x0, x1, y0)
-    if x0 == x1 and y1 - y0 + 1 == n:
-        return (False, y0, y1, x0)
-    return None
+    return (False, y0, y1, x0)
 
 
 def line_congestion_general(
@@ -68,11 +68,8 @@ def segment_hits(
     mask: np.ndarray, layer: int, gcells: Sequence[Tuple[int, int]]
 ) -> bool:
     """Whether any of a segment's cells is set in a (K, nx, ny) bool mask."""
+    horizontal, lo, hi, fixed = as_span(gcells)
     m = mask[layer - 1]
-    span = as_span(gcells)
-    if span is None:
-        return any(m[ix, iy] for ix, iy in gcells)
-    horizontal, lo, hi, fixed = span
     if horizontal:
         return bool(m[lo : hi + 1, fixed].any())
     return bool(m[fixed, lo : hi + 1].any())
@@ -83,21 +80,12 @@ def route_worst_ratio(
 ) -> float:
     """Worst use/cap ratio over a route's segments (cap<=0 cells skipped).
 
-    Matches ``RoutingResult.congestion_factor``'s scalar accumulation.
+    0.0 when no segment crosses a cell with capacity.
     """
     worst = 0.0
     for seg in segments:
         layer = seg.layer - 1
-        span = as_span(seg.gcells)
-        if span is None:
-            cap = capacity[layer]
-            use = usage[layer]
-            for ix, iy in seg.gcells:
-                c = cap[ix, iy]
-                if c > 0:
-                    worst = max(worst, use[ix, iy] / c)
-            continue
-        horizontal, lo, hi, fixed = span
+        horizontal, lo, hi, fixed = as_span(seg.gcells)
         if horizontal:
             c = capacity[layer, lo : hi + 1, fixed]
             u = usage[layer, lo : hi + 1, fixed]
@@ -113,7 +101,10 @@ def route_worst_ratio(
 def victims_of(
     mask: np.ndarray, routes: dict
 ) -> List[str]:
-    """Nets with at least one segment crossing a set cell of ``mask``."""
+    """Nets with at least one segment crossing a set cell of ``mask``.
+
+    In ``routes`` order, each net once.
+    """
     victims: List[str] = []
     for name, route in routes.items():
         for seg in route.segments:

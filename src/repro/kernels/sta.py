@@ -1,13 +1,14 @@
-"""Levelized, batched STA propagation (vector kernel).
+"""Levelized, batched setup-STA propagation.
 
-The scalar STA walks the net graph one node at a time with dict lookups.
-This kernel levelizes the (static) timing graph once per netlist and then
+The textbook STA walks the net graph one node at a time in Kahn order
+(the scalar oracle ``tests/oracles/sta.py`` does exactly that).  This
+kernel levelizes the (static) timing graph once per netlist and then
 propagates whole levels as numpy arrays: arrivals with per-level
 ``np.maximum.reduceat`` over the fanin-edge candidates, required times
 with ``np.minimum.reduceat`` over the fanout edges in descending level
 order.
 
-Bitwise-equality argument (vs :func:`repro.timing.sta._run_sta`):
+Bitwise-equality argument (vs the per-node oracle):
 
 * Every per-element formula — arc delay ``intrinsic + dr·load/1000``,
   wire delay ``r·(c/2 + c_sinks)·1e-6``, arrival candidate
@@ -19,7 +20,7 @@ Bitwise-equality argument (vs :func:`repro.timing.sta._run_sta`):
   candidate sets; max/min over floats are order-independent and exact, so
   levelized batching instead of Kahn order changes nothing.
 * Absent values are carried as ∓inf sentinels; a net whose candidates are
-  all sentinel stays absent from the result dicts, matching the scalar
+  all sentinel stays absent from the result dicts, matching the oracle's
   dict-membership semantics.
 
 The per-netlist static structure (levels, edge groups, arc variants,
@@ -354,7 +355,11 @@ def run_sta_vector(
     constraints: TimingConstraints,
     dc: DelayCalculator,
 ) -> "STAResult":
-    """Setup STA, bitwise equal to the scalar ``_run_sta`` path."""
+    """Setup STA of ``layout`` with the parasitics of ``dc``.
+
+    The body of :func:`repro.timing.sta.run_sta`; bitwise equal to the
+    per-node oracle.
+    """
     from repro.timing.sta import EndpointSlack, STAResult
 
     netlist = layout.netlist

@@ -141,34 +141,3 @@ def build_budgets(layout: Layout) -> BudgetSet:
         [BlockageBudget(layout, b) for b in layout.blockages.values()],
         layout.num_rows,
     )
-
-
-def placement_allowed(
-    budgets: "BudgetSet | List[BlockageBudget]", row: int, start: int, width: int
-) -> bool:
-    """Whether all budgets admit the candidate placement."""
-    if isinstance(budgets, BudgetSet):
-        return budgets.allows(row, start, width)
-    return all(b.allows(row, start, width) for b in budgets)
-
-
-def commit_placement(
-    budgets: "BudgetSet | List[BlockageBudget]", row: int, start: int, width: int
-) -> None:
-    """Commit the candidate placement to all budgets."""
-    if isinstance(budgets, BudgetSet):
-        budgets.commit(row, start, width)
-        return
-    for b in budgets:
-        b.commit(row, start, width)
-
-
-def release_placement(
-    budgets: "BudgetSet | List[BlockageBudget]", row: int, start: int, width: int
-) -> None:
-    """Release a removed placement from all budgets."""
-    if isinstance(budgets, BudgetSet):
-        budgets.release(row, start, width)
-        return
-    for b in budgets:
-        b.release(row, start, width)

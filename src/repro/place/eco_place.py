@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import List, Optional, Set
 
-from repro import kernels, obs
+from repro import obs
 from repro.geometry import Point
+from repro.kernels.legalize import receiving_target
 from repro.layout.layout import Layout
-from repro.place.budget import BlockageBudget, BudgetSet, build_budgets
-from repro.place.budget import commit_placement, release_placement
+from repro.place.budget import BudgetSet, build_budgets
 from repro.place.legalize import _try_rows_outward
 
 
@@ -65,7 +65,7 @@ def connected_median(layout: Layout, instance_name: str) -> Optional[Point]:
 
 def _relocate(
     layout: Layout,
-    budgets: "BudgetSet | List[BlockageBudget]",
+    budgets: BudgetSet,
     name: str,
     target: Point,
     row_search_radius: int,
@@ -82,7 +82,7 @@ def _relocate(
     old_center = layout.cell_center(name)
 
     layout.unplace(name)
-    release_placement(budgets, old.row, old.start, width)
+    budgets.release(old.row, old.start, width)
 
     target_row = min(max(int(target.y / tech.row_height), 0), layout.num_rows - 1)
     target_site = min(
@@ -98,11 +98,11 @@ def _relocate(
         )
     if spot is None:
         layout.place(name, old.row, old.start)
-        commit_placement(budgets, old.row, old.start, width)
+        budgets.commit(old.row, old.start, width)
         return None
     row, start = spot
     layout.place(name, row, start)
-    commit_placement(budgets, row, start, width)
+    budgets.commit(row, start, width)
     new_center = layout.cell_center(name)
     return old_center.manhattan_distance(new_center)
 
@@ -186,9 +186,9 @@ def _eco_place(
                 break  # nothing admissible left anywhere near; give up
             width = layout.netlist.instance(name).width_sites
             median_pt = connected_median(layout, name) or layout.cell_center(name)
-            target = _receiving_target(
+            target = receiving_target(
                 layout, budgets, budget, name, width, median_pt,
-                attract_point=attract_point,
+                attract_point,
             )
             moved = _relocate(layout, budgets, name, target, row_search_radius)
             if moved is not None and moved > 0:
@@ -200,52 +200,3 @@ def _eco_place(
         if budget.used > budget.max_used:
             report.unresolved_blockages.append(budget.blockage.name)
     return report
-
-
-def _receiving_target(
-    layout: Layout,
-    budgets: BudgetSet,
-    source: BlockageBudget,
-    name: str,
-    width: int,
-    median_pt: Point,
-    attract_point: Optional[Point] = None,
-) -> Point:
-    """Where an evicted cell should aim.
-
-    The density caps describe a global flow: excess sites in over-budget
-    regions must drain into the regions with real headroom (in LDA these
-    are the asset-neighborhood tiles).  Aiming at the median alone makes
-    evictees diffuse into the next-door tile and the flow never reaches
-    the receivers, so the target is the nearest blockage with comfortable
-    headroom, clamped toward the cell's connected median to keep the
-    wirelength impact as small as the flow allows.
-    """
-    if kernels.use_vector():
-        from repro.kernels.legalize import receiving_target
-
-        return receiving_target(
-            layout, budgets, source, name, width, median_pt, attract_point
-        )
-    anchor = attract_point if attract_point is not None else layout.cell_center(name)
-    best_rect = None
-    best_cost = None
-    for b in budgets:
-        if b is source or b.blockage.is_hard:
-            continue
-        headroom = b.max_used - b.used
-        if headroom < width + 2:
-            continue
-        d = b.blockage.rect.manhattan_distance_to_point(anchor)
-        cost = d - 0.02 * headroom  # prefer close, break ties by headroom
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_rect = b.blockage.rect
-    if best_rect is None:
-        return median_pt
-    # The point of the receiving rect closest to the pull anchor (the
-    # attract point when given, otherwise the cell's connected median).
-    pull = attract_point if attract_point is not None else median_pt
-    x = min(max(pull.x, best_rect.xlo), best_rect.xhi - 1e-6)
-    y = min(max(pull.y, best_rect.ylo), best_rect.yhi - 1e-6)
-    return Point(x, y)

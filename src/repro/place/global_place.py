@@ -26,6 +26,7 @@ from repro.errors import PlacementError
 from repro.geometry import Point
 from repro.layout.layout import Layout
 from repro.netlist.netlist import Netlist
+from repro.place.budget import BudgetSet
 from repro.tech.technology import Technology
 
 
@@ -399,6 +400,7 @@ def refine_wirelength(
     """
     from repro.place.eco_place import _relocate, connected_median
 
+    no_budgets = BudgetSet([], layout.num_rows)
     moves = 0
     for _ in range(passes):
         moved_this_pass = 0
@@ -414,7 +416,9 @@ def refine_wirelength(
                 scored.append((d, name, m))
         scored.sort(reverse=True)
         for _, name, target in scored:
-            disp = _relocate(layout, [], name, target, row_search_radius=6)
+            disp = _relocate(
+                layout, no_budgets, name, target, row_search_radius=6
+            )
             if disp is not None and disp > 0:
                 moved_this_pass += 1
         moves += moved_this_pass

@@ -9,80 +9,13 @@ from the target row.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro import kernels
 from repro.errors import PlacementError
-from repro.geometry import Interval, Point, merge_intervals, subtract_intervals
+from repro.geometry import Point
+from repro.kernels.legalize import best_start_in_row
 from repro.layout.layout import Layout
-from repro.place.budget import (
-    BlockageBudget,
-    BudgetSet,
-    build_budgets,
-    commit_placement,
-)
-
-
-def _forbidden_starts(
-    budgets: "BudgetSet | List[BlockageBudget]",
-    row: int,
-    width: int,
-    max_site: int,
-) -> List[Interval]:
-    """Start positions on ``row`` a budget rejects, as merged intervals.
-
-    A budget with headroom ``h < width`` over row span ``[lo, hi)``
-    forbids exactly the starts whose overlap with the span exceeds ``h``:
-    ``start ∈ [lo − width + h + 1, hi − h)`` — derived from the tent-shaped
-    overlap function of an axis-aligned sweep.
-    """
-    row_budgets = (
-        budgets.row_budgets(row) if isinstance(budgets, BudgetSet) else budgets
-    )
-    forbidden: List[Interval] = []
-    for b in row_budgets:
-        span = b.row_span(row)
-        if span is None:
-            continue
-        # Over-budget regions (h < 0) still admit zero-overlap placements,
-        # so the effective headroom for the sweep is clamped at 0.
-        h = max(b.max_used - b.used, 0)
-        if h >= width:
-            continue
-        lo = max(span.lo - width + h + 1, 0)
-        hi = min(span.hi - h, max_site)
-        if hi > lo:
-            forbidden.append(Interval(lo, hi))
-    return merge_intervals(forbidden)
-
-
-def _best_start_in_row(
-    layout: Layout,
-    budgets: "BudgetSet | List[BlockageBudget]",
-    row: int,
-    target_site: int,
-    width: int,
-) -> Optional[int]:
-    """Feasible start site in ``row`` closest to ``target_site``."""
-    if kernels.use_vector():
-        from repro.kernels.legalize import best_start_in_row
-
-        return best_start_in_row(layout, budgets, row, target_site, width)
-    occ = layout.occupancy[row]
-    gaps = [g for g in occ.free_intervals() if len(g) >= width]
-    if not gaps:
-        return None
-    forbidden = _forbidden_starts(budgets, row, width, occ.row.num_sites)
-    best: Optional[int] = None
-    best_cost: Optional[int] = None
-    for gap in gaps:
-        starts = Interval(gap.lo, gap.hi - width + 1)
-        for piece in subtract_intervals(starts, forbidden):
-            cand = min(max(piece.lo, target_site), piece.hi - 1)
-            cost = abs(cand - target_site)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = cand, cost
-    return best
+from repro.place.budget import BudgetSet, build_budgets
 
 
 def legalize(
@@ -133,14 +66,14 @@ def legalize(
             raise PlacementError(f"no legal position for {name!r}")
         row, start = placed
         layout.place(name, row, start)
-        commit_placement(budgets, row, start, width)
+        budgets.commit(row, start, width)
         result[name] = (row, start)
     return result
 
 
 def _try_rows_outward(
     layout: Layout,
-    budgets: "BudgetSet | List[BlockageBudget]",
+    budgets: BudgetSet,
     name: str,
     width: int,
     target_row: int,
@@ -154,7 +87,7 @@ def _try_rows_outward(
         for row in {target_row - dr, target_row + dr}:
             if not 0 <= row < layout.num_rows:
                 continue
-            start = _best_start_in_row(layout, budgets, row, target_site, width)
+            start = best_start_in_row(layout, budgets, row, target_site, width)
             if start is None:
                 continue
             cost = abs(start - target_site) + dr * 4.0  # row moves cost more

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.errors import RoutingError
 from repro.geometry import Rect
-from repro.kernels import use_vector
 from repro.kernels import routegrid as _rk
 from repro.tech.technology import Technology
 
@@ -57,9 +56,6 @@ class RoutingGrid:
         k = technology.num_layers
         self.capacity = np.zeros((k, self.nx, self.ny), dtype=float)
         self.usage = np.zeros((k, self.nx, self.ny), dtype=float)
-        #: kernel mode snapshot; the router checks this to pick slice-based
-        #: fast paths (grids are short-lived, so per-grid caching is fine).
-        self._vector = use_vector()
         for layer in technology.layers:
             if layer.direction == "H":
                 tracks = self.gcell_h / layer.track_pitch
@@ -108,51 +104,33 @@ class RoutingGrid:
     def add_segment(
         self, layer_index: int, gcells: List[Tuple[int, int]], demand: float
     ) -> None:
-        """Consume ``demand`` tracks on ``layer_index`` along ``gcells``."""
-        arr = self.usage[layer_index - 1]
-        if self._vector:
-            span = _rk.as_span(gcells)
-            if span is not None:
-                _rk.apply_line(arr, *span, demand)
-                return
-        for ix, iy in gcells:
-            arr[ix, iy] += demand
+        """Consume ``demand`` tracks on ``layer_index`` along ``gcells``.
+
+        ``gcells`` must be an ascending straight run (see
+        :mod:`repro.kernels.routegrid`).
+        """
+        _rk.apply_line(
+            self.usage[layer_index - 1], *_rk.as_span(gcells), demand
+        )
 
     def remove_segment(
         self, layer_index: int, gcells: List[Tuple[int, int]], demand: float
     ) -> None:
         """Undo :meth:`add_segment`."""
-        arr = self.usage[layer_index - 1]
-        if self._vector:
-            span = _rk.as_span(gcells)
-            if span is not None:
-                _rk.apply_line(arr, *span, -demand)
-                return
-        for ix, iy in gcells:
-            arr[ix, iy] -= demand
-
-    def segment_congestion(
-        self, layer_index: int, gcells: List[Tuple[int, int]], demand: float
-    ) -> float:
-        """Worst post-route usage/capacity ratio along a candidate segment."""
-        cap = self.capacity[layer_index - 1]
-        use = self.usage[layer_index - 1]
-        if self._vector:
-            span = _rk.as_span(gcells)
-            if span is not None:
-                return self.line_congestion(layer_index, *span, demand)
-        worst = 0.0
-        for ix, iy in gcells:
-            c = cap[ix, iy]
-            ratio = (use[ix, iy] + demand) / c if c > 0 else float("inf")
-            worst = max(worst, ratio)
-        return worst
+        _rk.apply_line(
+            self.usage[layer_index - 1], *_rk.as_span(gcells), -demand
+        )
 
     def line_congestion(
         self, layer_index: int, horizontal: bool, lo: int, hi: int,
         fixed: int, demand: float,
     ) -> float:
-        """Span-addressed :meth:`segment_congestion` (no gcell list needed)."""
+        """Worst post-route usage/capacity ratio along a candidate segment.
+
+        The segment is the run ``lo..hi`` (inclusive) along row ``fixed``
+        when ``horizontal``, else along column ``fixed``; a bin with no
+        capacity scores ``inf``.
+        """
         k = layer_index - 1
         if self._cap_all_positive:
             if hi - lo < 6:

@@ -143,14 +143,6 @@ class _ProbeRecorder:
     def begin(self) -> None:
         self.probes = set()
 
-    def segment_congestion(
-        self, layer_index: int, gcells: List[Tuple[int, int]], demand: float
-    ) -> float:
-        probes = self.probes
-        for ix, iy in gcells:
-            probes.add((layer_index, ix, iy))
-        return self._grid.segment_congestion(layer_index, gcells, demand)
-
     def line_congestion(
         self, layer_index: int, horizontal: bool, lo: int, hi: int,
         fixed: int, demand: float,
@@ -227,18 +219,9 @@ class RoutingResult:
         route = self.routes.get(net)
         factor = 1.0
         if route is not None:
-            cap = self.grid.capacity
-            use = self.grid.usage
-            if self.grid._vector:
-                worst = _rk.route_worst_ratio(cap, use, route.segments)
-            else:
-                worst = 0.0
-                for seg in route.segments:
-                    layer = seg.layer - 1
-                    for ix, iy in seg.gcells:
-                        c = cap[layer, ix, iy]
-                        if c > 0:
-                            worst = max(worst, use[layer, ix, iy] / c)
+            worst = _rk.route_worst_ratio(
+                self.grid.capacity, self.grid.usage, route.segments
+            )
             factor = 1.0 + 0.3 * max(0.0, worst - 0.8)
         self._congestion_cache[net] = factor
         return factor
@@ -248,31 +231,13 @@ class RoutingResult:
         return self.grid.num_overflows()
 
 
-def _gcell_line(
-    grid: RoutingGrid, p1: Point, p2: Point, horizontal: bool
-) -> List[Tuple[int, int]]:
-    """Gcells traversed by an axis-aligned segment from p1 to p2."""
-    a = grid.gcell_of(p1.x, p1.y)
-    b = grid.gcell_of(p2.x, p2.y)
-    cells: List[Tuple[int, int]] = []
-    if horizontal:
-        y = a[1]
-        lo, hi = sorted((a[0], b[0]))
-        cells = [(ix, y) for ix in range(lo, hi + 1)]
-    else:
-        x = a[0]
-        lo, hi = sorted((a[1], b[1]))
-        cells = [(x, iy) for iy in range(lo, hi + 1)]
-    return cells
-
-
 #: A candidate piece before materialization:
 #: (layer, horizontal, lo, hi, fixed, length_um, demand).
 _Piece = Tuple[int, bool, int, int, int, float, float]
 
 
-def _route_two_pin_spans(
-    grid,
+def _route_two_pin(
+    grid: RoutingGrid,
     ndr: NonDefaultRule,
     p1: Point,
     p2: Point,
@@ -280,13 +245,14 @@ def _route_two_pin_spans(
     v_layer: int,
     memo: Optional[Dict[Tuple[int, bool, int, int, int], float]] = None,
 ) -> Tuple[float, List[RouteSegment]]:
-    """Span-based :func:`_route_two_pin` for vector-mode grids.
+    """Route p1→p2 with the least congested of two L- and two Z-shapes.
 
-    Candidate shapes are probed as (lo, hi, fixed) spans — one slice
-    reduction each — and only the winning shape's gcell lists are
-    materialized.  Candidate order, congestion floats, and the chosen
-    segments are identical to the scalar path (``_gcell_line`` always
-    yields the same contiguous ascending runs these spans describe).
+    Returns (worst congestion ratio along the chosen shape, segments).
+    The Z-shapes (corner line through the middle) are the detours that
+    spread demand off the straight-line bbox.  Candidate shapes are
+    probed as (lo, hi, fixed) spans — one slice reduction each — and
+    only the winning shape's gcell lists are materialized, as ascending
+    straight runs.  On equal congestion the first candidate wins.
 
     ``memo`` caches probe results by (layer, orientation, span): valid as
     long as the grid is unmutated — the caller may share it across the
@@ -383,79 +349,6 @@ def _route_two_pin_spans(
             cells = [(fixed, iy) for iy in range(lo, hi + 1)]
         segs.append(RouteSegment(layer, cells, length, demand))
     return best_cong, segs
-
-
-def _route_two_pin(
-    grid: RoutingGrid,
-    ndr: NonDefaultRule,
-    p1: Point,
-    p2: Point,
-    h_layer: int,
-    v_layer: int,
-    memo: Optional[Dict[Tuple[int, bool, int, int, int], float]] = None,
-) -> Tuple[float, List[RouteSegment]]:
-    """Route p1→p2 with the less congested of the two L-shapes.
-
-    Returns (worst congestion ratio along the chosen shape, segments).
-    """
-    if getattr(grid, "_vector", False):
-        return _route_two_pin_spans(grid, ndr, p1, p2, h_layer, v_layer, memo)
-    h_demand = ndr.track_demand(h_layer)
-    v_demand = ndr.track_demand(v_layer)
-    dx = abs(p1.x - p2.x)
-    dy = abs(p1.y - p2.y)
-
-    def h_piece(x_lo: float, x_hi: float, y: float) -> Tuple[float, RouteSegment]:
-        cells = _gcell_line(grid, Point(x_lo, y), Point(x_hi, y), horizontal=True)
-        cong = grid.segment_congestion(h_layer, cells, h_demand)
-        return cong, RouteSegment(h_layer, cells, x_hi - x_lo, h_demand)
-
-    def v_piece(y_lo: float, y_hi: float, x: float) -> Tuple[float, RouteSegment]:
-        cells = _gcell_line(grid, Point(x, y_lo), Point(x, y_hi), horizontal=False)
-        cong = grid.segment_congestion(v_layer, cells, v_demand)
-        return cong, RouteSegment(v_layer, cells, y_hi - y_lo, v_demand)
-
-    x_lo, x_hi = min(p1.x, p2.x), max(p1.x, p2.x)
-    y_lo, y_hi = min(p1.y, p2.y), max(p1.y, p2.y)
-    candidates: List[Tuple[float, List[RouteSegment]]] = []
-
-    def add(pieces: List[Tuple[float, RouteSegment]]) -> None:
-        if pieces:
-            candidates.append(
-                (max(c for c, _ in pieces), [s for _, s in pieces])
-            )
-
-    if dx <= 1e-9 and dy <= 1e-9:
-        return 0.0, []
-    if dx <= 1e-9:
-        add([v_piece(y_lo, y_hi, p1.x)])
-    elif dy <= 1e-9:
-        add([h_piece(x_lo, x_hi, p1.y)])
-    else:
-        left, right = (p1, p2) if p1.x <= p2.x else (p2, p1)
-        low, high = (p1, p2) if p1.y <= p2.y else (p2, p1)
-        # Two L-shapes plus two Z-shapes (corner line through the middle):
-        # the Z detours are what spread demand off the straight-line bbox.
-        add([h_piece(x_lo, x_hi, left.y), v_piece(y_lo, y_hi, right.x)])
-        add([h_piece(x_lo, x_hi, right.y), v_piece(y_lo, y_hi, left.x)])
-        x_mid = (x_lo + x_hi) / 2.0
-        y_mid = (y_lo + y_hi) / 2.0
-        add(
-            [
-                h_piece(left.x, x_mid, left.y),
-                v_piece(y_lo, y_hi, x_mid),
-                h_piece(x_mid, right.x, right.y),
-            ]
-        )
-        add(
-            [
-                v_piece(low.y, y_mid, low.x),
-                h_piece(x_lo, x_hi, y_mid),
-                v_piece(y_mid, high.y, high.x),
-            ]
-        )
-    best = min(candidates, key=lambda c: c[0])
-    return best
 
 
 def _spanning_pairs(points: Sequence[Point]) -> List[Tuple[Point, Point]]:
@@ -761,19 +654,9 @@ def global_route(
             for _ in range(ripup_passes):
                 if grid.num_overflows() == 0:
                     break
-                overflow = grid.overflow_map()
-                if grid._vector:
-                    victims = _rk.victims_of(overflow > 0, result.routes)
-                else:
-                    victims = []
-                    for name, route in result.routes.items():
-                        for seg in route.segments:
-                            if any(
-                                overflow[seg.layer - 1, ix, iy] > 0
-                                for ix, iy in seg.gcells
-                            ):
-                                victims.append(name)
-                                break
+                victims = _rk.victims_of(
+                    grid.overflow_map() > 0, result.routes
+                )
                 ripped_up += len(victims)
                 for name in victims:
                     old = result.routes[name]
@@ -840,16 +723,7 @@ def _repair_drc_hotspots(
         current = excess()
         if current <= 0:
             return
-        hot = grid.usage > threshold
-        if grid._vector:
-            victims = _rk.victims_of(hot, result.routes)
-        else:
-            victims = []
-            for name, route in result.routes.items():
-                for seg in route.segments:
-                    if any(hot[seg.layer - 1, ix, iy] for ix, iy in seg.gcells):
-                        victims.append(name)
-                        break
+        victims = _rk.victims_of(grid.usage > threshold, result.routes)
         if not victims:
             return
         improved = False

@@ -1,33 +1,46 @@
-"""Property tests: vectorized kernels == scalar reference oracles.
+"""Property tests: each ``repro.kernels`` function == its scalar oracle.
 
-The ``repro.kernels`` package promises *bitwise* equality with the scalar
-implementations it replaces (selected via ``REPRO_KERNELS=scalar``).
-These tests drive both paths on generated designs and randomized inputs
-and compare every observable output exactly — no tolerances:
+The kernels promise *bitwise* equality with the per-element Python
+readings kept in ``tests/oracles/``.  These tests call the production
+function and its oracle side by side on generated designs and randomized
+inputs and compare every observable output exactly — no tolerances:
 
 * STA: arrival/required times, endpoint slacks, TNS/WNS;
 * exploitable-site scanning: the distance-filtered intervals per row and
   the resulting region sets;
+* cell-shift re-space: the incremental below-row component weights;
 * legalizer start search and the ECO receiving-target choice;
-* routing-grid accounting: usage arrays, congestion probes, overflow.
+* routing: grid usage and congestion probes, per-net congestion factors,
+  rip-up victim scans, two-pin routing, and whole router runs.
 """
 
 from __future__ import annotations
 
+import copy
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.bench.generators import GeneratorParams, generate_design
-from repro.geometry import Rect
+from repro.core.cell_shift import _IncrementalBelow
+from repro.geometry import Point, Rect
+from repro.kernels import routegrid as rk
+from repro.kernels.exploitable import filtered_row_intervals
+from repro.kernels.legalize import best_start_in_row, receiving_target
+from repro.netlist.netlist import Netlist, PortDirection
 from repro.place.budget import build_budgets
+from repro.place.fillers import insert_fillers
 from repro.place.global_place import GlobalPlacementSpec, global_place
+from repro.route import router
+from repro.route.grid import RoutingGrid
 from repro.route.ndr import NonDefaultRule
-from repro.route.router import global_route
+from repro.route.router import RoutingResult, _route_two_pin, global_route
 from repro.security.assets import annotate_key_assets
 from repro.security.exploitable import (
-    _filtered_row_intervals,
+    _regions_from_filtered,
+    exploitable_distance,
     find_exploitable_regions,
 )
 from repro.tech.library import nangate45_library
@@ -35,11 +48,27 @@ from repro.tech.technology import nangate45_like
 from repro.timing.constraints import TimingConstraints
 from repro.timing.sta import run_sta
 
+from tests.oracles import cell_shift as oracle_cs
+from tests.oracles import exploitable as oracle_ex
+from tests.oracles import legalize as oracle_lg
+from tests.oracles import routegrid as oracle_rg
+from tests.oracles import router as oracle_rt
+from tests.oracles import sta as oracle_sta
+
 #: Independent generator seeds, matching the differential harness.
 DESIGN_SEEDS = (7, 19, 31)
 
 THRESH_ER = 5
 CLOCK_PERIOD = 0.9
+
+#: Core of the standalone grids: ~22 × 21 gcells, so probes cover both the
+#: short-span loop and the numpy slice path of ``line_congestion``.
+GRID_CORE = Rect(0.0, 0.0, 100.0, 90.0)
+
+_FIXTURE_SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def _build(seed: int):
@@ -70,6 +99,11 @@ def _build(seed: int):
 @pytest.fixture(scope="module", params=DESIGN_SEEDS)
 def design(request):
     return _build(request.param)
+
+
+@pytest.fixture(scope="module")
+def routed(design):
+    return global_route(design["layout"])
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +142,25 @@ def one_design():
     return d
 
 
-@pytest.fixture()
-def mode(monkeypatch):
-    """Callable that pins the kernel mode for the current test."""
+@pytest.fixture(scope="module")
+def one_routed(one_design):
+    """Shared routing: tests copy the grid before mutating it."""
+    return global_route(one_design["layout"])
 
-    def set_mode(name: str) -> None:
-        monkeypatch.setenv(kernels.KERNELS_ENV, name)
 
-    return set_mode
+@pytest.fixture(scope="module")
+def filler_layout():
+    """Rows mixing free gaps and filler spans (fillers count as exploitable).
+
+    Every gap is filled, then every third filler is removed again.
+    """
+    layout = _build(DESIGN_SEEDS[1])["layout"]
+    before = set(layout.placements)
+    insert_fillers(layout)
+    fillers = sorted(set(layout.placements) - before)
+    for name in fillers[::3]:
+        layout.unplace(name)
+    return layout
 
 
 def _sta_key(sta):
@@ -128,15 +173,31 @@ def _sta_key(sta):
     )
 
 
-def _security_key(report):
+def _region_key(regions):
     return sorted(
         (
             tuple(sorted((g.row, g.lo, g.hi) for g in r.component.gaps)),
             r.free_tracks,
             r.num_sites,
         )
-        for r in report.regions
+        for r in regions
     )
+
+
+def _segs_key(segments):
+    return [(s.layer, list(s.gcells), s.length_um, s.demand) for s in segments]
+
+
+def _rng(data) -> np.random.Generator:
+    seed = data.draw(st.integers(0, 2**32 - 1), label="rng_seed")
+    return np.random.default_rng(seed)
+
+
+def _copied(routing: RoutingResult) -> RoutingResult:
+    """The same routes over a private copy of the grid."""
+    result = RoutingResult(copy.deepcopy(routing.grid), routing.ndr)
+    result.routes = routing.routes
+    return result
 
 
 # ---------------------------------------------------------------------- #
@@ -144,22 +205,85 @@ def _security_key(report):
 # ---------------------------------------------------------------------- #
 
 
-def test_sta_estimate_path_bitwise_equal(design, mode):
-    mode("scalar")
-    scalar = run_sta(design["layout"], design["constraints"])
-    mode("vector")
-    vector = run_sta(design["layout"], design["constraints"])
-    assert _sta_key(scalar) == _sta_key(vector)
+def test_sta_estimate_path_bitwise_equal(design):
+    oracle = oracle_sta._run_sta(design["layout"], design["constraints"])
+    kernel = run_sta(design["layout"], design["constraints"])
+    assert _sta_key(oracle) == _sta_key(kernel)
 
 
-def test_sta_routed_path_bitwise_equal(design, mode):
-    mode("vector")
-    routing = global_route(design["layout"])
-    mode("scalar")
-    scalar = run_sta(design["layout"], design["constraints"], routing=routing)
-    mode("vector")
-    vector = run_sta(design["layout"], design["constraints"], routing=routing)
-    assert _sta_key(scalar) == _sta_key(vector)
+def test_sta_routed_path_bitwise_equal(design, routed):
+    oracle = oracle_sta._run_sta(
+        design["layout"], design["constraints"], routing=routed
+    )
+    kernel = run_sta(design["layout"], design["constraints"], routing=routed)
+    assert _sta_key(oracle) == _sta_key(kernel)
+
+
+def _place(netlist):
+    return global_place(
+        netlist,
+        nangate45_like(num_layers=10),
+        GlobalPlacementSpec(target_utilization=0.5, seed=1),
+    )
+
+
+def _tapped_chain():
+    """Endpoint nets that also fan out, which generated designs lack.
+
+    ``n0`` drives the output port ``tap`` and the rest of an inverter
+    chain; ``n1`` feeds a flip-flop D pin and the chain.  Their required
+    times are the min of an endpoint seed and the fanout-derived value.
+    """
+    nl = Netlist("tapped", nangate45_library())
+    for net in ("clk", "in", "n0", "n1", "n2", "out", "q0", "n9"):
+        nl.add_net(net)
+    nl.add_port("clk", PortDirection.INPUT, is_clock=True)
+    nl.connect_port("clk", "clk")
+    nl.add_port("in", PortDirection.INPUT)
+    nl.connect_port("in", "in")
+    for inst, a, zn in (
+        ("inv0", "in", "n0"),
+        ("inv1", "n0", "n1"),
+        ("inv2", "n1", "n2"),
+        ("inv3", "n2", "out"),
+        ("inv4", "q0", "n9"),
+    ):
+        nl.add_instance(inst, "INV_X1")
+        nl.connect(inst, "A", a)
+        nl.connect(inst, "ZN", zn)
+    nl.add_instance("ff0", "DFF_X1")
+    for pin, net in (("D", "n1"), ("CK", "clk"), ("Q", "q0")):
+        nl.connect("ff0", pin, net)
+    for port, net in (("tap", "n0"), ("out", "out"), ("out2", "n9")):
+        nl.add_port(port, PortDirection.OUTPUT)
+        nl.connect_port(port, net)
+    nl.validate()
+    return nl
+
+
+@pytest.mark.parametrize("output_delay", [0.0, 0.85])
+def test_sta_seeded_fanout_nets_equal(output_delay):
+    """Required = min(endpoint seed, fanout), whichever side binds.
+
+    The netlist then grows one more stage: the kernel's per-netlist graph
+    cache must follow the edit.
+    """
+    netlist = _tapped_chain()
+    constraints = TimingConstraints(
+        clock_period=CLOCK_PERIOD, output_delay=output_delay, ff_setup=0.3
+    )
+    for grow in (False, True):
+        if grow:
+            netlist.add_instance("inv_tail", "INV_X1")
+            netlist.add_net("tail")
+            netlist.connect("inv_tail", "A", "n9")
+            netlist.connect("inv_tail", "ZN", "tail")
+            netlist.add_port("out3", PortDirection.OUTPUT)
+            netlist.connect_port("out3", "tail")
+        layout = _place(netlist)
+        oracle = oracle_sta._run_sta(layout, constraints)
+        kernel = run_sta(layout, constraints)
+        assert _sta_key(oracle) == _sta_key(kernel)
 
 
 # ---------------------------------------------------------------------- #
@@ -167,31 +291,50 @@ def test_sta_routed_path_bitwise_equal(design, mode):
 # ---------------------------------------------------------------------- #
 
 
-def test_exploitable_report_equal(design, mode):
-    mode("scalar")
-    sta = run_sta(design["layout"], design["constraints"])
-    scalar = find_exploitable_regions(
-        design["layout"], sta, design["assets"], thresh_er=THRESH_ER
+def test_exploitable_report_equal(design, routed):
+    layout = design["layout"]
+    sta = run_sta(layout, design["constraints"])
+    kernel = find_exploitable_regions(
+        layout, sta, design["assets"], thresh_er=THRESH_ER, routing=routed
     )
-    mode("vector")
-    vector = find_exploitable_regions(
-        design["layout"], sta, design["assets"], thresh_er=THRESH_ER
-    )
-    assert _security_key(scalar) == _security_key(vector)
-    assert scalar.distances == vector.distances
+    distances = {
+        name: exploitable_distance(layout, sta, name)
+        for name in design["assets"]
+    }
+    rects = [
+        (layout.cell_rect(name), distances[name])
+        for name in design["assets"]
+        if layout.is_placed(name)
+    ]
+    filtered = [
+        oracle_ex._filtered_row_intervals(layout, rects, row)
+        for row in range(layout.num_rows)
+    ]
+    oracle = _regions_from_filtered(filtered, THRESH_ER, layout, routed)
+    assert _region_key(oracle) == _region_key(kernel.regions)
+    assert distances == kernel.distances
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=40, **_FIXTURE_SETTINGS)
 @given(data=st.data())
-def test_filtered_row_intervals_equal(one_design, mode, data):
-    """Random (rect, distance) asset lists filter identically per row."""
-    layout = one_design["layout"]
-    core_w = layout.sites_per_row * layout.technology.site_width
-    core_h = layout.num_rows * layout.technology.row_height
+def test_filtered_row_intervals_equal(one_design, filler_layout, data):
+    """Random (rect, distance) asset lists filter identically per row.
+
+    Some assets reach the row exactly (distance == vertical gap), the
+    boundary where the reach is still a non-empty run.
+    """
+    layout = data.draw(
+        st.sampled_from([one_design["layout"], filler_layout]),
+        label="layout",
+    )
+    t = layout.technology
+    core_w = layout.sites_per_row * t.site_width
+    core_h = layout.num_rows * t.row_height
+    row = data.draw(
+        st.integers(min_value=0, max_value=layout.num_rows - 1), label="row"
+    )
+    row_ylo = row * t.row_height
+    row_yhi = row_ylo + t.row_height
     n = data.draw(st.integers(min_value=0, max_value=4), label="n_assets")
     rects = []
     for i in range(n):
@@ -203,20 +346,50 @@ def test_filtered_row_intervals_equal(one_design, mode, data):
         )
         w = data.draw(st.floats(0.1, 10.0, allow_nan=False), label=f"w{i}")
         h = data.draw(st.floats(0.1, 5.0, allow_nan=False), label=f"h{i}")
-        dist = data.draw(
-            st.floats(-1.0, 30.0, allow_nan=False), label=f"d{i}"
-        )
-        rects.append((Rect(x, y, x + w, y + h), dist))
-    row = data.draw(
-        st.integers(min_value=0, max_value=layout.num_rows - 1), label="row"
-    )
-    mode("scalar")
-    scalar = _filtered_row_intervals(layout, rects, row)
-    mode("vector")
-    vector = _filtered_row_intervals(layout, rects, row)
-    assert [(iv.lo, iv.hi) for iv in scalar] == [
-        (iv.lo, iv.hi) for iv in vector
-    ]
+        rect = Rect(x, y, x + w, y + h)
+        dy = max(0.0, rect.ylo - row_yhi, row_ylo - rect.yhi)
+        if dy > 0 and data.draw(st.booleans(), label=f"exact{i}"):
+            dist = dy
+        else:
+            dist = data.draw(
+                st.floats(-1.0, 30.0, allow_nan=False), label=f"d{i}"
+            )
+        rects.append((rect, dist))
+    layout = layout.clone()
+    for edit in range(2):
+        if edit:
+            # Free one cell of the row: the cached row bitmap must follow.
+            cells = [p.name for p in layout.occupancy[row]]
+            if not cells:
+                break
+            layout.unplace(
+                cells[data.draw(st.integers(0, len(cells) - 1), label="cut")]
+            )
+        oracle = oracle_ex._filtered_row_intervals(layout, rects, row)
+        kernel = filtered_row_intervals(layout, rects, row)
+        assert [(iv.lo, iv.hi) for iv in oracle] == [
+            (iv.lo, iv.hi) for iv in kernel
+        ]
+
+
+# ---------------------------------------------------------------------- #
+# cell-shift below-row weights
+# ---------------------------------------------------------------------- #
+
+
+def test_incremental_below_equal(design):
+    """Grown one row at a time, the union-find matches a full rebuild."""
+    layout = design["layout"]
+    tracker = _IncrementalBelow()
+    assert tracker.below_gaps() == [] == oracle_cs._below_weights(layout, 0)
+    for r in range(layout.num_rows):
+        tracker.add_row(layout.occupancy[r].free_intervals())
+        kernel = [(b.lo, b.hi, b.weight) for b in tracker.below_gaps()]
+        oracle = [
+            (b.lo, b.hi, b.weight)
+            for b in oracle_cs._below_weights(layout, r + 1)
+        ]
+        assert kernel == oracle, f"row {r}"
 
 
 # ---------------------------------------------------------------------- #
@@ -224,83 +397,156 @@ def test_filtered_row_intervals_equal(one_design, mode, data):
 # ---------------------------------------------------------------------- #
 
 
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_best_start_in_row_equal(one_design, mode, data):
-    from repro.place.legalize import _best_start_in_row
-
-    layout = one_design["layout"]
-    budgets = build_budgets(layout)
+def _commit_random(budgets, layout, data, i: int) -> None:
+    """Move some budget counters through the set (as the legalizer does)."""
     row = data.draw(
-        st.integers(min_value=0, max_value=layout.num_rows - 1), label="row"
+        st.integers(0, layout.num_rows - 1), label=f"commit_row{i}"
     )
-    target = data.draw(
-        st.integers(min_value=-5, max_value=layout.sites_per_row + 5),
-        label="target",
+    start = data.draw(
+        st.integers(0, layout.sites_per_row - 1), label=f"commit_start{i}"
     )
-    width = data.draw(st.integers(min_value=1, max_value=30), label="width")
-    mode("scalar")
-    scalar = _best_start_in_row(layout, budgets, row, target, width)
-    mode("vector")
-    vector = _best_start_in_row(layout, budgets, row, target, width)
-    assert scalar == vector
+    width = data.draw(st.integers(1, 12), label=f"commit_width{i}")
+    if data.draw(st.booleans(), label=f"release{i}"):
+        budgets.release(row, start, width)
+    else:
+        budgets.commit(row, start, width)
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=60, **_FIXTURE_SETTINGS)
 @given(data=st.data())
-def test_receiving_target_equal(one_design, mode, data):
-    from repro.geometry import Point
-    from repro.place.eco_place import _receiving_target
+def test_best_start_in_row_equal(one_design, data):
+    """Repeated queries while the row and the budget counters change.
 
+    As in the legalizer, a cell is placed at the chosen start and the
+    placement is committed to the budgets; the same (row, width) is asked
+    again after each of the two edits, so a stale cached answer would
+    show.
+    """
+    layout = one_design["layout"].clone()
+    budgets = build_budgets(layout)
+    spare = [
+        i.name
+        for i in one_design["netlist"].instances
+        if not i.is_sequential and layout.is_placed(i.name)
+    ]
+    cell_widths = sorted(
+        {layout.netlist.instance(n).width_sites for n in spare}
+    )
+    n_queries = data.draw(st.integers(1, 6), label="queries")
+    for i in range(n_queries):
+        row = data.draw(
+            st.integers(min_value=0, max_value=layout.num_rows - 1),
+            label=f"row{i}",
+        )
+        target = data.draw(
+            st.integers(min_value=-5, max_value=layout.sites_per_row + 5),
+            label=f"target{i}",
+        )
+        width = data.draw(
+            st.one_of(
+                st.sampled_from(cell_widths),
+                st.integers(min_value=1, max_value=30),
+            ),
+            label=f"width{i}",
+        )
+        start = None
+        for edit in (None, "place", "commit"):
+            if edit == "place":
+                movers = [
+                    n for n in spare
+                    if layout.netlist.instance(n).width_sites == width
+                    and layout.is_placed(n)
+                ]
+                if not movers:
+                    break
+                layout.unplace(movers[0])
+                layout.place(movers[0], row, start)
+            elif edit == "commit":
+                budgets.commit(row, start, width)
+            oracle = oracle_lg._best_start_in_row(
+                layout, budgets, row, target, width
+            )
+            kernel = best_start_in_row(layout, budgets, row, target, width)
+            assert oracle == kernel
+            if kernel is None:
+                break
+            start = kernel
+        _commit_random(budgets, layout, data, i)
+
+
+def test_best_start_in_row_every_target_equal(one_design):
+    """Every target of every row: covers equidistant ties."""
     layout = one_design["layout"]
     budgets = build_budgets(layout)
-    if not budgets.budgets:
-        pytest.skip("design carries no placement blockages")
+    for width in (1, 2, 3, 5, 8):
+        for row in range(layout.num_rows):
+            for target in range(-2, layout.sites_per_row + 2):
+                assert oracle_lg._best_start_in_row(
+                    layout, budgets, row, target, width
+                ) == best_start_in_row(layout, budgets, row, target, width)
+
+
+@settings(max_examples=40, **_FIXTURE_SETTINGS)
+@given(data=st.data())
+def test_receiving_target_equal(one_design, data):
+    layout = one_design["layout"]
+    budgets = build_budgets(layout)
+    assert budgets.budgets, "fixture plants blockages"
     movable = [
         i.name
         for i in one_design["netlist"].instances
         if layout.is_placed(i.name) and i.name not in layout.fixed
     ]
-    name = movable[
-        data.draw(
-            st.integers(min_value=0, max_value=len(movable) - 1),
-            label="cell",
+    n_queries = data.draw(st.integers(1, 4), label="queries")
+    for q in range(n_queries):
+        name = movable[
+            data.draw(
+                st.integers(min_value=0, max_value=len(movable) - 1),
+                label=f"cell{q}",
+            )
+        ]
+        source = budgets.budgets[
+            data.draw(
+                st.integers(min_value=0, max_value=len(budgets.budgets) - 1),
+                label=f"source{q}",
+            )
+        ]
+        edge = budgets.budgets[
+            data.draw(
+                st.integers(0, len(budgets.budgets) - 1),
+                label=f"edge_budget{q}",
+            )
+        ]
+        h = edge.max_used - edge.used
+        if h > 3 and data.draw(st.booleans(), label=f"edge{q}"):
+            # Eligibility boundary: headroom == width + 2, or one less.
+            width = h - data.draw(st.sampled_from([1, 2]), label=f"off{q}")
+        else:
+            width = data.draw(
+                st.integers(min_value=1, max_value=20), label=f"width{q}"
+            )
+        median_pt = Point(
+            data.draw(st.floats(0.0, 60.0, allow_nan=False), label=f"mx{q}"),
+            data.draw(st.floats(0.0, 30.0, allow_nan=False), label=f"my{q}"),
         )
-    ]
-    source = budgets.budgets[
-        data.draw(
-            st.integers(min_value=0, max_value=len(budgets.budgets) - 1),
-            label="source",
+        attract = None
+        if data.draw(st.booleans(), label=f"attract?{q}"):
+            attract = Point(
+                data.draw(
+                    st.floats(0.0, 60.0, allow_nan=False), label=f"ax{q}"
+                ),
+                data.draw(
+                    st.floats(0.0, 30.0, allow_nan=False), label=f"ay{q}"
+                ),
+            )
+        oracle = oracle_lg._receiving_target(
+            layout, budgets, source, name, width, median_pt, attract
         )
-    ]
-    width = data.draw(st.integers(min_value=1, max_value=20), label="width")
-    median_pt = Point(
-        data.draw(st.floats(0.0, 60.0, allow_nan=False), label="mx"),
-        data.draw(st.floats(0.0, 30.0, allow_nan=False), label="my"),
-    )
-    attract = None
-    if data.draw(st.booleans(), label="attract?"):
-        attract = Point(
-            data.draw(st.floats(0.0, 60.0, allow_nan=False), label="ax"),
-            data.draw(st.floats(0.0, 30.0, allow_nan=False), label="ay"),
+        kernel = receiving_target(
+            layout, budgets, source, name, width, median_pt, attract
         )
-    mode("scalar")
-    scalar = _receiving_target(
-        layout, budgets, source, name, width, median_pt, attract
-    )
-    mode("vector")
-    vector = _receiving_target(
-        layout, budgets, source, name, width, median_pt, attract
-    )
-    assert (scalar.x, scalar.y) == (vector.x, vector.y)
+        assert (oracle.x, oracle.y) == (kernel.x, kernel.y)
+        _commit_random(budgets, layout, data, q)
 
 
 # ---------------------------------------------------------------------- #
@@ -308,94 +554,198 @@ def test_receiving_target_equal(one_design, mode, data):
 # ---------------------------------------------------------------------- #
 
 
-def _twin_grids(design, mode):
-    from repro.route.grid import RoutingGrid
+def _draw_run(data, grid, k: int, i: int):
+    """A random straight run: (layer, span, ascending gcell list)."""
+    layer = data.draw(st.integers(min_value=1, max_value=k), label=f"layer{i}")
+    horizontal = data.draw(st.booleans(), label=f"horiz{i}")
+    length = grid.nx if horizontal else grid.ny
+    fixed = data.draw(
+        st.integers(0, (grid.ny if horizontal else grid.nx) - 1),
+        label=f"fixed{i}",
+    )
+    a = data.draw(st.integers(0, length - 1), label=f"a{i}")
+    b = data.draw(st.integers(0, length - 1), label=f"b{i}")
+    lo, hi = min(a, b), max(a, b)
+    if horizontal:
+        cells = [(ix, fixed) for ix in range(lo, hi + 1)]
+    else:
+        cells = [(fixed, iy) for iy in range(lo, hi + 1)]
+    return layer, (horizontal, lo, hi, fixed), cells
 
-    core = design["layout"].core
-    mode("scalar")
-    scalar = RoutingGrid(design["tech"], core)
-    mode("vector")
-    vector = RoutingGrid(design["tech"], core)
-    return scalar, vector
 
-
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=40, **_FIXTURE_SETTINGS)
 @given(data=st.data())
-def test_grid_accounting_equal(one_design, mode, data):
+def test_grid_accounting_equal(one_design, data):
     """Random straight segments: usage and probes agree bitwise."""
-    scalar, vector = _twin_grids(one_design, mode)
-    k = one_design["tech"].num_layers
+    tech = one_design["tech"]
+    oracle = RoutingGrid(tech, GRID_CORE)
+    kernel = RoutingGrid(tech, GRID_CORE)
     n_ops = data.draw(st.integers(min_value=1, max_value=12), label="ops")
     applied = []
     for i in range(n_ops):
-        layer = data.draw(
-            st.integers(min_value=1, max_value=k), label=f"layer{i}"
-        )
-        horizontal = data.draw(st.booleans(), label=f"horiz{i}")
-        if horizontal:
-            fixed = data.draw(
-                st.integers(0, scalar.ny - 1), label=f"fy{i}"
-            )
-            a = data.draw(st.integers(0, scalar.nx - 1), label=f"a{i}")
-            b = data.draw(st.integers(0, scalar.nx - 1), label=f"b{i}")
-            lo, hi = min(a, b), max(a, b)
-            cells = [(ix, fixed) for ix in range(lo, hi + 1)]
-        else:
-            fixed = data.draw(
-                st.integers(0, scalar.nx - 1), label=f"fx{i}"
-            )
-            a = data.draw(st.integers(0, scalar.ny - 1), label=f"a{i}")
-            b = data.draw(st.integers(0, scalar.ny - 1), label=f"b{i}")
-            lo, hi = min(a, b), max(a, b)
-            cells = [(fixed, iy) for iy in range(lo, hi + 1)]
+        layer, span, cells = _draw_run(data, kernel, tech.num_layers, i)
+        assert rk.as_span(cells) == oracle_rg.as_span(cells)
         demand = data.draw(
             st.floats(0.1, 3.0, allow_nan=False), label=f"demand{i}"
         )
-        probe = scalar.segment_congestion(layer, cells, demand)
-        assert probe == vector.segment_congestion(layer, cells, demand)
-        scalar.add_segment(layer, cells, demand)
-        vector.add_segment(layer, cells, demand)
+        probe = oracle_rg.segment_congestion(oracle, layer, cells, demand)
+        assert probe == kernel.line_congestion(layer, *span, demand)
+        oracle_rg.add_segment(oracle, layer, cells, demand)
+        kernel.add_segment(layer, cells, demand)
         applied.append((layer, cells, demand))
-    assert scalar.usage.tobytes() == vector.usage.tobytes()
-    assert scalar.num_overflows() == vector.num_overflows()
-    assert scalar.total_overflow() == vector.total_overflow()
+    assert oracle.usage.tobytes() == kernel.usage.tobytes()
+    assert oracle.num_overflows() == kernel.num_overflows()
+    assert oracle.total_overflow() == kernel.total_overflow()
     for layer, cells, demand in applied:
-        scalar.remove_segment(layer, cells, demand)
-        vector.remove_segment(layer, cells, demand)
-    assert scalar.usage.tobytes() == vector.usage.tobytes()
+        oracle_rg.remove_segment(oracle, layer, cells, demand)
+        kernel.remove_segment(layer, cells, demand)
+    assert oracle.usage.tobytes() == kernel.usage.tobytes()
 
 
-def test_global_route_equal(design, mode):
-    """Full router runs agree: routes, usage, overflow, congestion."""
-
-    def digest(routing):
-        routes = {
-            name: [
-                (s.layer, tuple(s.gcells), s.length_um, s.demand)
-                for s in r.segments
-            ]
-            for name, r in routing.routes.items()
-        }
-        return (
-            routes,
-            routing.grid.usage.tobytes(),
-            routing.grid.num_overflows(),
-            routing.grid.total_overflow(),
-            routing.total_wirelength,
+@settings(max_examples=40, **_FIXTURE_SETTINGS)
+@given(data=st.data())
+def test_line_congestion_zero_capacity_equal(one_design, data):
+    """Bins without capacity score inf, on the general probe path."""
+    tech = one_design["tech"]
+    grid = RoutingGrid(tech, GRID_CORE)
+    rng = _rng(data)
+    grid.usage[:] = rng.uniform(0.0, 2.0, grid.usage.shape) * grid.capacity
+    grid.capacity[rng.random(grid.capacity.shape) < 0.3] = 0.0
+    for i in range(8):
+        layer, span, cells = _draw_run(data, grid, tech.num_layers, i)
+        demand = data.draw(
+            st.floats(0.0, 3.0, allow_nan=False), label=f"demand{i}"
+        )
+        horizontal, lo, hi, fixed = span
+        k = layer - 1
+        if horizontal:
+            c = grid.capacity[k, lo : hi + 1, fixed]
+            u = grid.usage[k, lo : hi + 1, fixed]
+        else:
+            c = grid.capacity[k, fixed, lo : hi + 1]
+            u = grid.usage[k, fixed, lo : hi + 1]
+        assert rk.line_congestion_general(c, u, demand) == (
+            oracle_rg.segment_congestion(grid, layer, cells, demand)
         )
 
+
+# ---------------------------------------------------------------------- #
+# router scans over routed designs
+# ---------------------------------------------------------------------- #
+
+
+@settings(max_examples=15, **_FIXTURE_SETTINGS)
+@given(data=st.data())
+def test_congestion_factor_equal(one_routed, data):
+    """Per-net congestion factors over randomly raised usage."""
+    result = _copied(one_routed)
+    grid = result.grid
+    rng = _rng(data)
+    raise_p = data.draw(st.floats(0.0, 1.0), label="raise_p")
+    bump = rng.uniform(0.0, 1.5, grid.usage.shape) * grid.capacity
+    grid.usage += np.where(rng.random(grid.usage.shape) < raise_p, bump, 0.0)
+    if data.draw(st.booleans(), label="zero_caps"):
+        grid.capacity[rng.random(grid.capacity.shape) < 0.2] = 0.0
+    for name, route in result.routes.items():
+        worst = oracle_rg.route_worst_ratio(
+            grid.capacity, grid.usage, route.segments
+        )
+        assert rk.route_worst_ratio(
+            grid.capacity, grid.usage, route.segments
+        ) == worst
+        assert result.congestion_factor(name) == (
+            1.0 + 0.3 * max(0.0, worst - 0.8)
+        )
+
+
+@settings(max_examples=25, **_FIXTURE_SETTINGS)
+@given(data=st.data())
+def test_victims_of_equal(one_routed, data):
+    """Random masks select the same victims, in the same order."""
+    rng = _rng(data)
+    density = data.draw(
+        st.sampled_from([0.0, 0.0005, 0.002, 0.01, 0.05, 0.3]),
+        label="density",
+    )
+    mask = rng.random(one_routed.grid.usage.shape) < density
+    assert rk.victims_of(mask, one_routed.routes) == oracle_rg.victims_of(
+        mask, one_routed.routes
+    )
+
+
+@settings(max_examples=40, **_FIXTURE_SETTINGS)
+@given(data=st.data())
+def test_route_two_pin_equal(one_design, data):
+    """Span probes pick the oracle's shape, for every tier of a pin pair.
+
+    One probe memo is shared across the tier loop, as ``_route_net``
+    shares it.
+    """
+    tech = one_design["tech"]
+    core = GRID_CORE
+    grid = RoutingGrid(tech, core)
+    rng = _rng(data)
+    grid.usage[:] = rng.uniform(0.0, 1.2, grid.usage.shape) * grid.capacity
     ndr = NonDefaultRule(
         scales=tuple(
-            1.2 if i % 2 else 1.0
-            for i in range(design["tech"].num_layers)
+            data.draw(st.sampled_from([1.0, 1.5, 2.0]), label=f"scale{i}")
+            for i in range(tech.num_layers)
         )
     )
-    mode("scalar")
-    scalar = global_route(design["layout"], ndr=ndr)
-    mode("vector")
-    vector = global_route(design["layout"], ndr=ndr)
-    assert digest(scalar) == digest(vector)
+    coord_x = st.floats(core.xlo, core.xhi, allow_nan=False)
+    coord_y = st.floats(core.ylo, core.yhi, allow_nan=False)
+    p1 = Point(data.draw(coord_x, label="x1"), data.draw(coord_y, label="y1"))
+    shape = data.draw(
+        st.sampled_from(["free", "same_x", "same_y", "same"]), label="shape"
+    )
+    x2 = p1.x if shape in ("same_x", "same") else data.draw(coord_x, label="x2")
+    y2 = p1.y if shape in ("same_y", "same") else data.draw(coord_y, label="y2")
+    p2 = Point(x2, y2)
+    memo: dict = {}
+    for h_layer, v_layer in router._TIERS:
+        kernel = _route_two_pin(grid, ndr, p1, p2, h_layer, v_layer, memo)
+        oracle = oracle_rt._route_two_pin(grid, ndr, p1, p2, h_layer, v_layer)
+        assert kernel[0] == oracle[0]
+        assert _segs_key(kernel[1]) == _segs_key(oracle[1])
+
+
+def _route_digest(routing):
+    routes = {
+        name: _segs_key(r.segments) for name, r in routing.routes.items()
+    }
+    return (
+        routes,
+        routing.grid.usage.tobytes(),
+        routing.grid.num_overflows(),
+        routing.grid.total_overflow(),
+        routing.total_wirelength,
+        [routing.congestion_factor(name) for name in routing.routes],
+    )
+
+
+def test_global_route_equal(design, monkeypatch):
+    """Whole router runs agree when every kernel is swapped for its oracle.
+
+    The production router's control flow (net order, tier loop with a
+    shared probe memo, rip-up, DRC repair) runs over the kernels, then
+    over the oracles; routes, usage, overflow and per-net congestion
+    factors must match exactly.  The second rule doubles every layer's
+    track demand, so the grid overflows and rip-up and DRC repair run.
+    """
+    layout = design["layout"]
+    k = design["tech"].num_layers
+    ndrs = (
+        NonDefaultRule(scales=tuple(1.2 if i % 2 else 1.0 for i in range(k))),
+        NonDefaultRule(scales=(2.0,) * k),
+    )
+    kernel = [_route_digest(global_route(layout, ndr=ndr)) for ndr in ndrs]
+    assert kernel[1][2] > 0, "doubled demand must overflow"
+    monkeypatch.setattr(router, "_route_two_pin", oracle_rt._route_two_pin)
+    monkeypatch.setattr(RoutingGrid, "add_segment", oracle_rg.add_segment)
+    monkeypatch.setattr(
+        RoutingGrid, "remove_segment", oracle_rg.remove_segment
+    )
+    monkeypatch.setattr(rk, "victims_of", oracle_rg.victims_of)
+    monkeypatch.setattr(rk, "route_worst_ratio", oracle_rg.route_worst_ratio)
+    oracle = [_route_digest(global_route(layout, ndr=ndr)) for ndr in ndrs]
+    assert kernel == oracle

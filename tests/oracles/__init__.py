@@ -1,0 +1,19 @@
+"""Scalar reference oracles for the ``repro.kernels`` hot paths.
+
+Each module here holds the plain per-element Python reading of one
+kernel's definition, with the signature of the production function it
+checks.  None of this code runs in the flow; ``tests/kernels/`` calls an
+oracle and its production twin side by side and asserts bitwise-equal
+results:
+
+* ``sta._run_sta`` — ``repro.timing.sta.run_sta``
+  (``kernels.sta.run_sta_vector``);
+* ``exploitable._filtered_row_intervals`` —
+  ``kernels.exploitable.filtered_row_intervals``;
+* ``cell_shift._below_weights`` — ``core.cell_shift._IncrementalBelow``;
+* ``legalize._best_start_in_row`` / ``legalize._receiving_target`` —
+  ``kernels.legalize.best_start_in_row`` / ``receiving_target``;
+* ``routegrid.*`` — ``RoutingGrid`` accounting and probes and the
+  ``kernels.routegrid`` scans;
+* ``router._route_two_pin`` — ``route.router._route_two_pin``.
+"""

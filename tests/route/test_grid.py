@@ -48,9 +48,9 @@ class TestUsageAccounting:
         assert grid.num_overflows(slack=2.0) == 0
         assert grid.total_overflow() == pytest.approx(1.0)
 
-    def test_segment_congestion(self, grid):
+    def test_line_congestion(self, grid):
         cap = grid.capacity[0, 0, 0]
-        assert grid.segment_congestion(1, [(0, 0)], cap / 2) == pytest.approx(0.5)
+        assert grid.line_congestion(1, True, 0, 0, 0, cap / 2) == pytest.approx(0.5)
 
 
 class TestFreeTracks:

@@ -73,12 +73,6 @@ def compare(
         lines.append(
             f"  {status:10s}{name}: {b:.2f}s -> {c:.2f}s ({delta:+.1%})"
         )
-    for record, label in ((baseline, "baseline"), (current, "current")):
-        speedup = (record.get("derived") or {}).get(
-            "vector_speedup_full_eval"
-        )
-        if speedup is not None:
-            lines.append(f"  {label} vector speedup: {float(speedup):.2f}x")
     return lines, regressed
 
 

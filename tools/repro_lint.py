@@ -15,9 +15,9 @@ DET103    RNG construction inside ``src/repro/kernels/``.  Kernels must
           not own randomness: any reference to ``np.random`` /
           ``numpy.random`` (even a seeded ``default_rng``) is banned
           there — a kernel needing randomness takes a
-          ``numpy.random.Generator`` argument from its caller, so the
-          scalar oracle and the vectorized path consume the *same*
-          stream and stay bitwise comparable.
+          ``numpy.random.Generator`` argument from its caller, so a
+          kernel and its scalar test oracle consume the *same* stream
+          and stay bitwise comparable.
 DET102    Wall-clock reads (``time.time``/``time_ns``,
           ``datetime.now/utcnow/today``, ``date.today``) in core
           library code.  Durations (``perf_counter``/``monotonic``)
