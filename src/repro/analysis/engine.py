@@ -2,9 +2,10 @@
 
 :func:`analyze_sources` is the synthetic-module entry point the test
 fixtures use; :func:`analyze_tree` walks ``src/repro`` on disk.  Both
-run the same pipeline and honour ``# repro-lint: disable=<RULE>`` line
-pragmas (identical syntax to :mod:`tools/repro_lint`) plus the ratchet
-baseline.
+run the same pipeline and honour the ratchet baseline plus line
+pragmas: ``# repro-lint: disable=DET201,ASY101 <justification>``
+silences those rule ids on that line (the rule list ends at the first
+whitespace; the rest is free text).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ PRAGMA = "repro-lint:"
 
 
 def _pragmas(code: str) -> Dict[int, Set[str]]:
-    """Line -> rule ids disabled there (same grammar as repro_lint)."""
+    """Line -> rule ids disabled there by a pragma comment."""
     out: Dict[int, Set[str]] = {}
     try:
         tokens = tokenize.generate_tokens(

@@ -19,9 +19,9 @@ Python:
   per-stage wall-clock / peak-RSS breakdown (plus a JSONL event trace).
 * ``lint`` — run the rule-based layout DRC/invariant analyzer over a
   design (text or JSON diagnostics, ``--fail-on`` exit-code gate).
-* ``analyze`` — run the interprocedural effect & concurrency analyzer
-  over the repro source tree itself (purity contracts, event-loop and
-  fork safety; ratcheted baseline, ``--fail-on`` exit-code gate).
+* ``analyze`` — run the source analyzer over the repro tree itself
+  (determinism rules, purity contracts, event-loop and fork safety;
+  ratcheted baseline, ``--fail-on`` exit-code gate).
 * ``serve`` — run the long-lived job-orchestration daemon (JSON-over-
   HTTP API, bounded priority queue, graceful SIGTERM drain).
 * ``submit`` — submit a harden/explore job to a running daemon
@@ -947,11 +947,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="interprocedural effect & concurrency analysis of the "
+        help="determinism, effect & concurrency analysis of the "
              "repro source tree itself",
     )
     p.add_argument("--rules", action="append", default=[],
-                   help="rule ids or family prefixes (EFF, ASY, FRK; "
+                   help="rule ids or family prefixes (DET, EFF, ASY, FRK; "
                         "comma-separated or repeated); default: all")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--fail-on", choices=("info", "warning", "error"),

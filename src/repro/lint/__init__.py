@@ -17,9 +17,9 @@ Entry points:
   re-validating the layout after every ECO operator;
 * the incremental/chaos test harnesses use it as their legality oracle.
 
-The codebase-level determinism lint (AST rules over the repository's own
-sources) lives in ``tools/repro_lint.py``, not here — this package lints
-*designs*, that tool lints *code*.
+The codebase-level determinism rules (DET, AST checks over the
+repository's own sources) live in :mod:`repro.analysis`, not here —
+this package lints *designs*, ``repro analyze`` lints *code*.
 """
 
 from repro.lint.engine import run_lint

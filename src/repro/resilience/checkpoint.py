@@ -28,8 +28,10 @@ save/load cycle bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -43,12 +45,61 @@ __all__ = [
     "CHECKPOINT_FILENAME",
     "CheckpointManager",
     "ExplorationCheckpoint",
+    "atomic_write_text",
     "encode_flow_config",
     "decode_flow_config",
+    "probe_writable",
 ]
 
 CHECKPOINT_SCHEMA_VERSION = 1
 CHECKPOINT_FILENAME = "checkpoint.json"
+
+#: Per-process sequence for tmp-file names: combined with pid and
+#: thread id it gives every in-flight write its own tmp path, so
+#: concurrent writers of the *same* file never truncate or unlink each
+#: other's half-written file (``os.replace`` then keeps whichever write
+#: lands last, each one self-consistent).
+_TMP_SEQ = itertools.count()
+
+
+def _tmp_path(path: Path) -> Path:
+    return path.with_name(
+        f"{path.name}.tmp.{os.getpid()}"
+        f".{threading.get_ident()}.{next(_TMP_SEQ)}"
+    )
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Durably replace ``path`` with ``text``: tmp file, fsync, rename.
+
+    A crash mid-write leaves the previous file intact, and a failed
+    write leaves no tmp file behind.  Raises :class:`OSError`; callers
+    wrap it in their own error type.
+    """
+    tmp = _tmp_path(path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            try:
+                tmp.unlink()
+            except OSError:  # pragma: no cover - best-effort cleanup
+                pass
+
+
+def probe_writable(directory: Path) -> None:
+    """Create ``directory`` and prove a file can be written in it.
+
+    Raises :class:`OSError`; callers wrap it in their own error type.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    probe = _tmp_path(directory / ".write-probe")
+    probe.write_text("")
+    probe.unlink()
 
 
 class CheckpointManager:
@@ -61,10 +112,7 @@ class CheckpointManager:
     ) -> None:
         self.directory = Path(directory)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            probe = self.directory / f".write-probe-{os.getpid()}"
-            probe.write_text("")
-            probe.unlink()
+            probe_writable(self.directory)
         except OSError as exc:
             raise CheckpointError(
                 f"checkpoint directory {self.directory} is not writable "
@@ -77,23 +125,12 @@ class CheckpointManager:
         body = dict(payload)
         body["schema_version"] = CHECKPOINT_SCHEMA_VERSION
         text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-        tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
         try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            atomic_write_text(self.path, text)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot write checkpoint {self.path}: {exc}"
             ) from exc
-        finally:
-            if tmp.exists():  # a failed write never leaves droppings
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
         return self.path
 
     def load_payload(self) -> Optional[dict]:

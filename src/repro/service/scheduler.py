@@ -133,13 +133,8 @@ class Scheduler:
             raise ServiceError("service is draining; resubmit after restart")
         if hasattr(self.guard_factory, "validate"):
             self.guard_factory.validate(spec.design)
-        if spec.resume_from is not None and not (
-            self.store.checkpoint_dir(spec.resume_from).exists()
-        ):
-            raise ServiceError(
-                f"resume_from job {spec.resume_from!r} has no checkpoint "
-                f"directory in this daemon's state dir"
-            )
+        if spec.resume_from is not None:
+            self._check_handoff(spec, spec.resume_from)
         if self.queue.full:
             obs.count("service.jobs_rejected")
             raise JobQueueFull(
@@ -155,6 +150,43 @@ class Scheduler:
         self._idle.clear()
         self._maybe_dispatch()
         return record
+
+    def _check_handoff(self, spec: JobSpec, source_id: str) -> None:
+        """Reject a ``resume_from`` that cannot own the lineage.
+
+        The continuation writes into the source's checkpoint directory,
+        so the source must be finished, of the same kind (checkpoint
+        payloads are kind-specific), and not already being continued by
+        another live job — two writers of one checkpoint corrupt it.
+        """
+        source = self.records.get(source_id)
+        if source is None or not (
+            self.store.checkpoint_dir(source_id).exists()
+        ):
+            raise ServiceError(
+                f"resume_from job {source_id!r} has no checkpoint "
+                f"directory in this daemon's state dir"
+            )
+        if not source.is_terminal:
+            raise ServiceError(
+                f"resume_from job {source_id} is still {source.state}; "
+                f"cancel it and wait until it is cancelled"
+            )
+        if source.spec.kind != spec.kind:
+            raise ServiceError(
+                f"resume_from job {source_id} is of kind "
+                f"{source.spec.kind!r}, not {spec.kind!r}; a checkpoint "
+                f"only continues a job of its own kind"
+            )
+        for other in self.records.values():
+            if (
+                not other.is_terminal
+                and (other.spec.resume_from or other.job_id) == source_id
+            ):
+                raise ServiceError(
+                    f"job {other.job_id} already continues job "
+                    f"{source_id}'s checkpoint; wait for it or cancel it"
+                )
 
     def restore(self) -> List[JobRecord]:
         """Reload the journal; re-enqueue every unfinished job.

@@ -6,9 +6,10 @@ Layout of one state directory::
       jobs/<job_id>.json          # JobRecord journal entries (atomic)
       checkpoints/<job_id>/       # per-job explorer run directory
 
-Every state transition rewrites the job's journal file with the same
-tmp+fsync+rename discipline as :mod:`repro.resilience.checkpoint`, so a
-killed daemon never leaves a torn record.  On restart, ``load_all``
+Every state transition rewrites the job's journal file through
+:func:`repro.resilience.checkpoint.atomic_write_text` (tmp + fsync +
+rename, collision-free tmp names per thread), so a killed daemon never
+leaves a torn record.  On restart, ``load_all``
 returns every journaled record; the scheduler re-enqueues the
 non-terminal ones (with ``resume=True`` so their explorer checkpoints
 continue bitwise) and keeps the terminal ones queryable.
@@ -16,26 +17,17 @@ continue bitwise) and keeps the terminal ones queryable.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ServiceError
+from repro.resilience.checkpoint import atomic_write_text, probe_writable
 from repro.service.jobs import JobRecord
 
 __all__ = ["JobStore"]
 
 JOURNAL_SCHEMA_VERSION = 1
-
-#: Per-process sequence for tmp-file names: combined with pid and
-#: thread id it makes every in-flight journal write target a distinct
-#: tmp path, so concurrent savers of the *same* record can never
-#: truncate each other's half-written file (``os.replace`` then keeps
-#: whichever snapshot lands last, each one self-consistent).
-_TMP_SEQ = itertools.count()
 
 
 class JobStore:
@@ -46,11 +38,9 @@ class JobStore:
         self.jobs_dir = self.state_dir / "jobs"
         self.checkpoints_dir = self.state_dir / "checkpoints"
         try:
-            self.jobs_dir.mkdir(parents=True, exist_ok=True)
-            self.checkpoints_dir.mkdir(parents=True, exist_ok=True)
-            probe = self.state_dir / f".write-probe-{os.getpid()}"
-            probe.write_text("")
-            probe.unlink()
+            probe_writable(self.state_dir)
+            self.jobs_dir.mkdir(exist_ok=True)
+            self.checkpoints_dir.mkdir(exist_ok=True)
         except OSError as exc:
             raise ServiceError(
                 f"service state directory {self.state_dir} is not "
@@ -85,26 +75,12 @@ class JobStore:
     def write_snapshot(self, job_id: str, text: str) -> None:
         """Atomically replace ``job_id``'s journal with ``text``."""
         path = self.journal_path(job_id)
-        tmp = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}"
-            f".{threading.get_ident()}.{next(_TMP_SEQ)}"
-        )
         try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            atomic_write_text(path, text)
         except OSError as exc:
             raise ServiceError(
                 f"cannot journal job {job_id} to {path}: {exc}"
             ) from exc
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
 
     def load(self, job_id: str) -> Optional[JobRecord]:
         path = self.journal_path(job_id)

@@ -21,6 +21,11 @@ from repro.errors import ReproError
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 RATCHET = REPO_ROOT / "tools" / "analysis_ratchet.json"
 
+ALL_RULE_IDS = [
+    "DET101", "DET102", "DET103", "DET104", "DET201", "DET202", "DET301",
+    "EFF101", "EFF102", "EFF103", "ASY101", "ASY102", "FRK101", "FRK102",
+]
+
 ASY_DEFECT = SourceModule(
     name="repro.service.fake",
     relpath="src/repro/service/fake.py",
@@ -30,13 +35,11 @@ ASY_DEFECT = SourceModule(
 
 class TestSelectRules:
     def test_default_is_the_whole_catalogue(self):
-        assert select_rules(None) == sorted(
-            ["EFF101", "EFF102", "EFF103",
-             "ASY101", "ASY102", "FRK101", "FRK102"]
-        )
+        assert select_rules(None) == sorted(ALL_RULE_IDS)
 
     def test_family_prefix_expands(self):
         assert select_rules(["ASY"]) == ["ASY101", "ASY102"]
+        assert select_rules(["DET"]) == ALL_RULE_IDS[:7]
         assert select_rules(["eff101"]) == ["EFF101"]
 
     def test_unknown_selector_raises_repro_error(self):
@@ -120,8 +123,9 @@ class TestHeadSelfCheck:
         )
         assert report.stale_baseline == []
         assert report.exit_code("warning") == 0
-        # sanity: the run actually covered the tree
+        # sanity: the run actually covered the tree with every rule
         assert report.modules > 100 and report.functions > 500
+        assert report.rules_run == sorted(ALL_RULE_IDS)
 
 
 class TestCli:
@@ -149,7 +153,7 @@ class TestCli:
     def test_list_rules_prints_catalogue(self):
         proc = self.run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule_id in ("EFF101", "ASY102", "FRK101"):
+        for rule_id in ALL_RULE_IDS:
             assert rule_id in proc.stdout
 
     def test_unknown_rule_is_an_actionable_error(self):

@@ -123,8 +123,10 @@ class TestEffRules:
         assert findings_of(EFF102_CLEAN) == []
 
     def test_eff103_fires_on_seedless_owned_rng(self):
-        (f,) = findings_of(EFF103_TRIGGER)
-        assert f.rule_id == "EFF103"
+        # the seedless default_rng() under src/repro is DET101 as well
+        found = findings_of(EFF103_TRIGGER)
+        assert sorted(f.rule_id for f in found) == ["DET101", "EFF103"]
+        (f,) = [f for f in found if f.rule_id == "EFF103"]
         assert "default_rng() without a seed" in f.detail
 
     @pytest.mark.parametrize(
@@ -317,6 +319,8 @@ class TestFrkRules:
 class TestCatalogue:
     def test_every_rule_id_has_spec_fields(self):
         assert set(RULES) == {
+            "DET101", "DET102", "DET103", "DET104",
+            "DET201", "DET202", "DET301",
             "EFF101", "EFF102", "EFF103",
             "ASY101", "ASY102", "FRK101", "FRK102",
         }

@@ -96,6 +96,52 @@ class TestCheckpointManager:
         assert manager.load_payload()["value"] == 1
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
+    def test_nested_save_into_same_directory(self, tmp_path, monkeypatch):
+        """A second manager saving in the middle of the first save (same
+        process, same directory) must use its own tmp file: both saves
+        succeed and the last rename wins with a parseable file."""
+        import repro.resilience.checkpoint as ckpt_mod
+
+        real_fsync = ckpt_mod.os.fsync
+        fsyncs = []
+
+        def fsync_then_nested_save(fd):
+            real_fsync(fd)
+            fsyncs.append(fd)
+            if len(fsyncs) == 1:  # only the outer save nests
+                CheckpointManager(tmp_path).save_payload({"kind": "in"})
+
+        outer = CheckpointManager(tmp_path)
+        monkeypatch.setattr(ckpt_mod.os, "fsync", fsync_then_nested_save)
+        outer.save_payload({"kind": "out"})
+        monkeypatch.undo()
+        assert len(fsyncs) == 2
+        assert outer.load_payload()["kind"] == "out"
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+    def test_nested_construction_probes_its_own_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A manager built while another one is probing the same
+        directory must not unlink the first one's probe file."""
+        from pathlib import Path
+
+        real_write_text = Path.write_text
+        writes = []
+
+        def write_then_nested_probe(self, *args, **kwargs):
+            result = real_write_text(self, *args, **kwargs)
+            writes.append(self.name)
+            if len(writes) == 1:  # only the outer probe nests
+                CheckpointManager(tmp_path)
+            return result
+
+        monkeypatch.setattr(Path, "write_text", write_then_nested_probe)
+        CheckpointManager(tmp_path)
+        monkeypatch.undo()
+        assert len(writes) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_directory_rejected(self, tmp_path):
         # a path *under a regular file* cannot be mkdir'd, even as root
         blocker = tmp_path / "blocker"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import time
 
 import pytest
 
@@ -234,3 +235,71 @@ class TestErrorSurfaces:
             with pytest.raises(ServiceError, match="draining"):
                 c.submit(explore_spec(seed=3))
             app.scheduler.draining = False
+
+
+def _throttled_factory(eval_sleep_s=0.05):
+    """Fake guards slow enough that a job stays in flight for seconds."""
+    factory = SlowGuardFactory()
+    factory.eval_sleep_s = eval_sleep_s
+    return factory
+
+
+class TestResumeFromHandoff:
+    """A ``resume_from`` job writes into its source's checkpoint
+    directory, so submit refuses any source that would give that
+    directory a second writer or a foreign payload."""
+
+    def test_running_source_is_400(self, make_service, client):
+        with make_service(guard_factory=_throttled_factory()) as (
+            url, app,
+        ):
+            c = client(url)
+            job = c.submit(explore_spec(seed=3, generations=50))
+            ckpt = app.scheduler.store.checkpoint_dir(job["id"])
+            deadline = time.monotonic() + 30.0
+            while not ckpt.exists():
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.005)
+            status, _, body = _raw(
+                url, "POST", "/jobs",
+                explore_spec(seed=3, generations=50, resume_from=job["id"]),
+            )
+            assert status == 400
+            assert "still running" in body["error"]
+            c.cancel(job["id"])
+            assert c.wait(job["id"])["state"] == JobState.CANCELLED
+
+    def test_second_continuation_is_400(self, make_service, client):
+        with make_service(
+            workers=1, guard_factory=_throttled_factory()
+        ) as (url, _app):
+            c = client(url)
+            source = c.submit(explore_spec(seed=3))
+            c.wait(source["id"])
+            # the blocker holds the only slot, so the first continuation
+            # stays queued while the second one is submitted
+            blocker = c.submit(explore_spec(seed=5, generations=50))
+            first = c.submit(explore_spec(seed=3, resume_from=source["id"]))
+            status, _, body = _raw(
+                url, "POST", "/jobs",
+                explore_spec(seed=3, resume_from=source["id"]),
+            )
+            assert status == 400
+            assert f"job {first['id']} already continues" in body["error"]
+            c.cancel(blocker["id"])
+            assert c.wait(first["id"])["state"] == JobState.DONE
+
+    def test_different_kind_is_400(self, make_service, client):
+        with make_service() as (url, _app):
+            c = client(url)
+            attack = c.submit({
+                "kind": "attack", "design": "fakechip",
+                "attempts": 2, "grid": "ci",
+            })
+            assert c.wait(attack["id"])["state"] == JobState.DONE
+            status, _, body = _raw(
+                url, "POST", "/jobs",
+                explore_spec(seed=3, resume_from=attack["id"]),
+            )
+            assert status == 400
+            assert "of kind 'attack', not 'explore'" in body["error"]
