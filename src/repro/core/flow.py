@@ -96,8 +96,7 @@ class FlowResult:
 @dataclass
 class _OpCacheEntry:
     """Per-operator-key incremental state: the deterministic placement
-    result and the delta evaluator holding its routed/timed/scanned
-    state."""
+    result and the delta evaluator holding its timed/scanned state."""
 
     layout: Layout
     op_report: Union[CellShiftReport, LdaReport]
@@ -119,8 +118,9 @@ class GDSIIGuard:
         incremental: Evaluate via the delta engine (:mod:`repro.
             incremental`).  Both ECO placement operators are deterministic
             functions of their config genes, so candidates sharing an
-            operator key reuse one placed layout and delta-evaluate only
-            the RWS change; results equal the full pipeline by
+            operator key reuse one placed layout: each evaluation routes
+            it cold under its own RWS scales and delta-updates STA and
+            the security scan.  Results equal the full pipeline by
             construction.  Set ``False`` to force the full recompute
             (the differential tests' oracle).
         check_invariants: Paranoid mode — re-run the :mod:`repro.lint`
@@ -159,11 +159,8 @@ class GDSIIGuard:
         self.invariant_violations = 0
         self._op_cache: dict = {}
         if baseline_routing is None:
-            baseline_routing = global_route(baseline, record_journal=True)
+            baseline_routing = global_route(baseline)
         self.baseline_routing = baseline_routing
-        #: journal of the baseline route — lets the first evaluation of
-        #: each operator key warm-start instead of routing from scratch.
-        self._baseline_journal = getattr(baseline_routing, "journal", None)
         self._baseline_sta = run_sta(
             baseline, constraints, routing=self.baseline_routing
         )
@@ -420,8 +417,8 @@ class GDSIIGuard:
 
         Candidates sharing an operator key reuse the cached placed
         layout plus its :class:`~repro.incremental.engine.DeltaEvaluator`;
-        only the RWS re-route (warm-started), the affected timing cones,
-        and the dirtied security rows are recomputed.
+        only the cold RWS route, the affected timing cones, and the
+        dirtied security rows are recomputed.
         """
         from repro.incremental.engine import DeltaEvaluator
 
@@ -451,7 +448,6 @@ class GDSIIGuard:
                     self.constraints,
                     self.assets,
                     thresh_er=self.thresh_er,
-                    warm_journal=self._baseline_journal,
                 )
                 entry = _OpCacheEntry(layout, op_report, evaluator)
                 self._op_cache[key] = entry
@@ -466,9 +462,9 @@ class GDSIIGuard:
                 res = entry.evaluator.evaluate(ndr=ndr)
             except BaseException:
                 # An evaluator that died mid-delta may leave the cached
-                # routed/timed/scanned state half-updated; drop the entry
-                # so a supervised retry rebuilds it instead of reusing
-                # corrupt state.  BaseException on purpose: a
+                # timed/scanned state half-updated; drop the entry so a
+                # supervised retry rebuilds it instead of reusing corrupt
+                # state.  BaseException on purpose: a
                 # KeyboardInterrupt/SystemExit mid-delta corrupts the
                 # cache exactly the same way, and everything is re-raised
                 # unconditionally.

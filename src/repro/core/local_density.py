@@ -195,7 +195,10 @@ def local_density_adjustment(
             )
         else:
             attract = None
-    for iteration in range(n_iter):
+    # Blockage names carry no iteration index: each iteration starts from
+    # a cleared set, and a run continued from a cached prefix restarts
+    # its count, which must not change what the report names.
+    for _ in range(n_iter):
         layout.clear_blockages()
         caps = asset_density_caps(layout, assets, n)
         for ix in range(n):
@@ -209,7 +212,7 @@ def local_density_adjustment(
                 )
                 layout.add_blockage(
                     PlacementBlockage(
-                        name=f"lda_{iteration}_{ix}_{iy}",
+                        name=f"lda_{ix}_{iy}",
                         rect=rect,
                         max_density=cap,
                     )

@@ -1,19 +1,17 @@
 """The :class:`LayoutDelta` — what changed between two placement states.
 
-A delta records per-instance old/new placements.  From it every
-incremental consumer derives its own dirt: the router re-decides nets
-whose pins moved, the STA engine invalidates the fan-in/fan-out cones of
-those nets, and the exploitable-region scanner re-scans the rows whose
-occupancy changed (plus the reach of any asset whose position changed).
+A delta records per-instance old/new placements.  The
+exploitable-region scanner derives its dirt from it: it re-scans the
+rows whose occupancy changed (plus the reach of any asset whose position
+changed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.layout.layout import Layout, Placement
-from repro.netlist.netlist import Netlist
+from repro.layout.layout import Placement
 
 
 @dataclass
@@ -34,44 +32,6 @@ class LayoutDelta:
         """The no-op delta (NDR-only re-evaluations use this)."""
         return cls()
 
-    @classmethod
-    def between(cls, old: Layout, new: Layout) -> "LayoutDelta":
-        """Diff two layouts of the same netlist."""
-        moved: Dict[str, Tuple[Optional[Placement], Optional[Placement]]] = {}
-        old_pl = old.placements
-        new_pl = new.placements
-        for name, pl in new_pl.items():
-            prev = old_pl.get(name)
-            if prev != pl:
-                moved[name] = (prev, pl)
-        for name, prev in old_pl.items():
-            if name not in new_pl:
-                moved[name] = (prev, None)
-        return cls(moved=moved)
-
-    @classmethod
-    def of_instances(cls, layout: Layout, names: Iterable[str]) -> "LayoutDelta":
-        """Delta marking ``names`` as moved, with their current placement
-        as the *new* state (old state unknown → treated as dirty)."""
-        moved: Dict[str, Tuple[Optional[Placement], Optional[Placement]]] = {}
-        for name in names:
-            new = layout.placements.get(name)
-            moved[name] = (None, new)
-        return cls(moved=moved)
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether nothing moved."""
-        return not self.moved
-
-    def __len__(self) -> int:
-        return len(self.moved)
-
-    @property
-    def instances(self) -> Set[str]:
-        """Names of all instances that changed placement."""
-        return set(self.moved)
-
     def dirty_rows(self) -> Set[int]:
         """Row indices whose occupancy changed (old and new rows)."""
         rows: Set[int] = set()
@@ -81,25 +41,3 @@ class LayoutDelta:
             if new is not None:
                 rows.add(new.row)
         return rows
-
-    def dirty_nets(self, netlist: Netlist) -> Set[str]:
-        """Nets with at least one pin on a moved instance.
-
-        These nets' pin positions — hence HPWL estimates, routed shapes,
-        and wire parasitics — may all have changed.
-        """
-        nets: Set[str] = set()
-        for name in self.moved:
-            inst = netlist.instance(name)
-            nets.update(inst.connections.values())
-        return nets
-
-    def merge(self, other: "LayoutDelta") -> "LayoutDelta":
-        """Compose two deltas applied in sequence (self then other)."""
-        moved = dict(self.moved)
-        for name, (old, new) in other.moved.items():
-            if name in moved:
-                moved[name] = (moved[name][0], new)
-            else:
-                moved[name] = (old, new)
-        return LayoutDelta(moved=moved)

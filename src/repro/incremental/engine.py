@@ -1,15 +1,15 @@
 """The :class:`DeltaEvaluator` — one stateful route/STA/security pipeline.
 
-The evaluator owns the incremental state for **one** layout lineage: the
-routing journal of the last evaluation, an :class:`~repro.timing.sta.
-IncrementalSTA` instance, and an :class:`~repro.security.exploitable.
-IncrementalExploitableScanner`.  Each :meth:`DeltaEvaluator.evaluate`
-call snapshots the layout's placements, diffs them against the previous
-snapshot to derive a :class:`~repro.incremental.delta.LayoutDelta`
-(robust even when the caller mutates the layout in place), and then runs
+The evaluator owns the incremental state for **one** layout lineage: an
+:class:`~repro.timing.sta.IncrementalSTA` instance and an
+:class:`~repro.security.exploitable.IncrementalExploitableScanner`.  Each
+:meth:`DeltaEvaluator.evaluate` call snapshots the layout's placements,
+diffs them against the previous snapshot to derive a
+:class:`~repro.incremental.delta.LayoutDelta` (robust even when the
+caller mutates the layout in place), and then runs
 
-1. warm-start global routing (rip up and re-route only nets whose pins
-   moved or whose congestion probes touched changed grid bins),
+1. a cold global route under the call's NDR (a new routing-width vector
+   re-routes almost every net, so no routing state is carried over),
 2. delta-STA (re-propagate only the affected timing cones), and
 3. delta-security (re-scan only rows whose gap structure changed).
 
@@ -21,13 +21,13 @@ against the full-recompute oracle with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro import obs
 from repro.incremental.delta import LayoutDelta
 from repro.layout.layout import Layout, Placement
 from repro.route.ndr import NonDefaultRule
-from repro.route.router import RouteJournal, RoutingResult, global_route
+from repro.route.router import RoutingResult, global_route
 from repro.security.assets import SecurityAssets
 from repro.security.exploitable import (
     DEFAULT_THRESH_ER,
@@ -37,17 +37,14 @@ from repro.security.exploitable import (
 from repro.timing.constraints import TimingConstraints
 from repro.timing.sta import IncrementalSTA, STAResult
 
-#: Minimum estimated reusable-net fraction for a warm start to be worth
-#: the probe-recording overhead; below it the evaluator routes fresh.
-_WARM_START_THRESHOLD = 0.25
-
 
 @dataclass
 class DeltaEvalResult:
     """One incremental evaluation's outputs.
 
     Attributes:
-        routing: The (warm-started) routing result, journal attached.
+        routing: The routing result of a cold :func:`~repro.route.
+            router.global_route` under ``ndr``.
         ndr: The non-default rule the routing used.
         sta: STA result — bitwise equal to a fresh :func:`~repro.timing.
             sta.run_sta` on the same layout/routing.
@@ -72,9 +69,6 @@ class DeltaEvaluator:
         constraints: Timing constraints for STA.
         assets: Security assets for the exploitable-region scan.
         thresh_er: Exploitable-region site threshold.
-        warm_journal: Optional routing journal of a previous evaluation
-            of the *same placements* (e.g. the flow baseline), letting
-            even the first evaluation warm-start its routing.
     """
 
     def __init__(
@@ -83,41 +77,14 @@ class DeltaEvaluator:
         constraints: TimingConstraints,
         assets: SecurityAssets,
         thresh_er: int = DEFAULT_THRESH_ER,
-        warm_journal: Optional[RouteJournal] = None,
     ) -> None:
         self.layout = layout
         self.constraints = constraints
         self.assets = assets
         self.thresh_er = thresh_er
-        self._journal: Optional[RouteJournal] = warm_journal
         self._placements: Optional[Dict[str, Placement]] = None
         self._sta: Optional[IncrementalSTA] = None
         self._scanner: Optional[IncrementalExploitableScanner] = None
-
-    def _reuse_estimate(
-        self, ndr: NonDefaultRule, moved_nets: Set[str]
-    ) -> float:
-        """Upper-bound fraction of journaled nets a warm start can reuse.
-
-        A journaled net is certainly ripped up when it probed a layer
-        whose track demand changed or when one of its pins moved; the
-        survivors are an optimistic bound (bin collisions can still dirty
-        them during replay).
-        """
-        journal = self._journal
-        if journal is None or not journal.entries:
-            return 0.0
-        changed = {
-            layer
-            for layer in range(1, ndr.num_layers + 1)
-            if ndr.track_demand(layer) != journal.ndr.track_demand(layer)
-        }
-        reusable = sum(
-            1
-            for name, entry in journal.entries.items()
-            if name not in moved_nets and not (entry.probe_layers & changed)
-        )
-        return reusable / len(journal.entries)
 
     def evaluate(
         self,
@@ -148,35 +115,11 @@ class DeltaEvaluator:
             delta = _diff_placements(self._placements, snapshot)
         self._placements = snapshot
 
-        # Warm-starting pays only when enough journaled nets survive the
-        # NDR/placement change; when the estimate says most nets would be
-        # ripped up anyway, a plain fresh route (no probe recording) is
-        # cheaper.  Both paths produce identical routing — the journal
-        # stays valid across fresh routes because the replay re-checks
-        # pin positions and layer scales itself.
-        moved_nets = (
-            delta.dirty_nets(layout.netlist) if not delta.is_empty else set()
-        )
-        warm = None
-        record = self._journal is None
-        if self._journal is not None:
-            if self._reuse_estimate(ndr, moved_nets) >= _WARM_START_THRESHOLD:
-                warm = self._journal
-                record = True
-
         # The flow.* spans keep the per-stage profile comparable between
         # the incremental and full pipelines; the incremental.* spans
         # isolate the delta engine's own cost.
         with obs.timed("flow.route"), obs.timed("incremental.route"):
-            routing = global_route(
-                layout, ndr=ndr, warm_start=warm, record_journal=record
-            )
-        if routing.journal is not None:
-            self._journal = routing.journal
-        obs.count(
-            "incremental.route.warm" if warm is not None
-            else "incremental.route.fresh"
-        )
+            routing = global_route(layout, ndr=ndr)
 
         with obs.timed("flow.sta"), obs.timed("incremental.sta"):
             if self._sta is None:

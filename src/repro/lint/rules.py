@@ -68,7 +68,7 @@ _DENSITY_EPS = 1e-9
 
 #: R001 warning tier: overflow the detailed router still absorbs (below
 #: the DRC hard threshold) is only worth flagging once it approaches the
-#: cliff.  Mild overflow — a fraction of a track, routine after a warm
+#: cliff.  Mild overflow — a fraction of a track, routine after an RWS
 #: re-route — is by the congestion model not a defect at all.
 TRACK_SOFT_RATIO = 1.3
 TRACK_SOFT_MARGIN = 4.0

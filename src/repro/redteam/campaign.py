@@ -263,15 +263,35 @@ class AttackCampaign:
                 f"{', '.join(diffs)}); rerun with the original settings "
                 f"or start a fresh run directory"
             )
+        problem = self._coverage_problem(ckpt)
+        if problem is not None:
+            raise CheckpointError(
+                f"malformed campaign checkpoint "
+                f"{self.checkpoint_manager.path} ({problem}); delete it "
+                f"or restart without --resume"
+            )
         return ckpt
 
+    def _coverage_problem(self, ckpt: CampaignCheckpoint) -> Optional[str]:
+        """Why ``ckpt``'s outcomes do not cover its completed batches."""
+        specs = [p.spec_id for p in self.grid.points]
+        total = len(self.targets) * len(specs)
+        if not 0 <= ckpt.batch < total:
+            return f"batch {ckpt.batch} outside 0..{total - 1}"
+        for batch in range(ckpt.batch + 1):
+            ti, pi = divmod(batch, len(specs))
+            target_id = self.targets[ti][0]
+            rows = ckpt.outcomes.get(target_id, {}).get(specs[pi])
+            if rows is None or len(rows) != self.attempts:
+                return (
+                    f"batch {batch} ({target_id}/{specs[pi]}) lacks its "
+                    f"{self.attempts} outcomes"
+                )
+        return None
+
     def _restore(self, ckpt: CampaignCheckpoint) -> None:
-        res = ckpt.resilience
-        self.resilience.retries = int(res.get("retries", 0))
-        self.resilience.worker_deaths = int(res.get("worker_deaths", 0))
-        self.resilience.timeouts = int(res.get("timeouts", 0))
-        self.resilience.task_failures = int(res.get("task_failures", 0))
-        self.resilience.degraded = bool(res.get("degraded", False))
+        for name, value in ckpt.resilience.items():
+            setattr(self.resilience, name, value)
         self.resumed_from = ckpt.batch
         if (
             ckpt.obs_snapshot

@@ -16,14 +16,29 @@ SIGKILL mid-write leaves the previous checkpoint intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CheckpointError
 from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.supervisor import ResilienceState
 
 __all__ = ["CampaignCheckpoint"]
+
+#: Supervision counters a checkpoint carries, with their types.
+_RESILIENCE_FIELDS = {f.name: type(f.default) for f in fields(ResilienceState)}
+
+#: Outcome fields the campaign summary reads from every row.
+_OUTCOME_FIELDS = ("attempt", "success", "region_sites")
+
+
+def _decode_outcome(row: Any) -> dict:
+    outcome = dict(row)
+    missing = [key for key in _OUTCOME_FIELDS if key not in outcome]
+    if missing:
+        raise ValueError(f"outcome row without {', '.join(missing)}")
+    return outcome
 
 
 @dataclass
@@ -71,17 +86,22 @@ class CampaignCheckpoint:
                 f"at the matching run directory"
             )
         try:
+            resilience = payload.get("resilience") or {}
             return cls(
                 batch=int(payload["batch"]),
                 identity=dict(payload["identity"]),
                 outcomes={
                     str(target): {
-                        str(spec): [dict(r) for r in rows]
+                        str(spec): [_decode_outcome(r) for r in rows]
                         for spec, rows in specs.items()
                     }
                     for target, specs in payload["outcomes"].items()
                 },
-                resilience=dict(payload.get("resilience") or {}),
+                resilience={
+                    key: kind(resilience[key])
+                    for key, kind in _RESILIENCE_FIELDS.items()
+                    if key in resilience
+                },
                 obs_snapshot=payload.get("obs"),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

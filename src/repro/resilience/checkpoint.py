@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.params import FlowConfig
 from repro.errors import CheckpointError
 from repro.optimize.nsga2 import Individual
@@ -292,6 +294,16 @@ class ExplorationCheckpoint:
                 f"matching run directory"
             )
         try:
+            rng_state = payload["rng_state"]
+            # The explorer's generator validates a state only when it is
+            # assigned; check it here so a bad one fails like any other
+            # malformed field.
+            np.random.default_rng(0).bit_generator.state = rng_state
+            nsga2 = payload["nsga2"]
+            if not isinstance(nsga2, dict):
+                raise TypeError(
+                    f"nsga2 is a {type(nsga2).__name__}, not an object"
+                )
             eval_cache = {
                 (k[0], int(k[1]), int(k[2]), tuple(k[3])): (
                     tuple(v[0]),
@@ -309,18 +321,20 @@ class ExplorationCheckpoint:
                      for objectives, violation in gen]
                     for gen in payload["history"]
                 ],
-                rng_state=payload["rng_state"],
+                rng_state=rng_state,
                 eval_cache=eval_cache,
                 evaluations=int(payload["counters"]["evaluations"]),
                 cache_requests=int(payload["counters"]["cache_requests"]),
                 cache_hits=int(payload["counters"]["cache_hits"]),
                 stall=int(payload["search"]["stall"]),
                 best_proxy=float(payload["search"]["best_proxy"]),
-                nsga2=payload["nsga2"],
+                nsga2=nsga2,
                 num_layers=int(payload["space"]["num_layers"]),
                 obs_snapshot=payload.get("obs"),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (
+            KeyError, TypeError, ValueError, IndexError, OverflowError
+        ) as exc:
             raise CheckpointError(
                 f"malformed exploration checkpoint ({exc}); delete it or "
                 f"restart without --resume"

@@ -11,27 +11,12 @@ The router honors a :class:`~repro.route.ndr.NonDefaultRule`: a layer's
 width scale multiplies the track demand of every segment on it and scales
 the net's RC parasitics (R down, C slightly up) — the physical substance
 of the paper's Routing Width Scaling operator.
-
-Warm-start re-routing
----------------------
-``global_route(..., record_journal=True)`` additionally records a
-:class:`RouteJournal`: for every net of the initial pass, its pin points,
-the grid bins its routing decisions *probed* (every congestion query made
-while choosing shapes and layers), and the segments it committed.  A later
-``global_route(..., warm_start=journal)`` replays that journal instead of
-re-deciding every net: a net is re-routed only when its pins moved, a
-layer it probed changed track demand under the new NDR, or one of its
-probed bins was touched by another re-routed net — otherwise its recorded
-segments are committed verbatim.  Because the probe set covers every grid
-value the net's decision depended on, the replayed initial pass leaves the
-grid in *exactly* the state a fresh route would, and the shared rip-up /
-hotspot-repair passes then produce an identical result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import RoutingError
@@ -99,83 +84,6 @@ class NetRoute:
         return sum(s.length_um for s in self.segments)
 
 
-@dataclass(frozen=True)
-class NetJournalEntry:
-    """What one net's initial-pass routing decision depended on and chose.
-
-    Attributes:
-        points: The net's pin points ``((x, y), ...)`` at record time —
-            compared against the current pin points to detect moved pins.
-        probe_bins: Every ``(layer, ix, iy)`` grid bin whose congestion the
-            decision process queried (over all candidate shapes and tiers).
-        probe_layers: The layers appearing in ``probe_bins`` — a net is
-            invalidated wholesale when a probed layer's track demand
-            changes under a new NDR.
-        segments: The segments the initial pass committed, in commit order.
-    """
-
-    points: Tuple[Tuple[float, float], ...]
-    probe_bins: FrozenSet[Tuple[int, int, int]]
-    probe_layers: FrozenSet[int]
-    segments: Tuple[RouteSegment, ...]
-
-
-@dataclass
-class RouteJournal:
-    """Replayable record of one ``global_route`` initial pass."""
-
-    ndr: NonDefaultRule
-    entries: Dict[str, NetJournalEntry] = field(default_factory=dict)
-
-
-class _ProbeRecorder:
-    """RoutingGrid proxy that records congestion-probe locations.
-
-    Duck-types the grid for :func:`_route_net`: congestion queries are
-    logged per bin into :attr:`probes` (reset per net with :meth:`begin`),
-    everything else delegates to the wrapped grid.
-    """
-
-    def __init__(self, grid: RoutingGrid) -> None:
-        self._grid = grid
-        self.probes: Set[Tuple[int, int, int]] = set()
-
-    def begin(self) -> None:
-        self.probes = set()
-
-    def line_congestion(
-        self, layer_index: int, horizontal: bool, lo: int, hi: int,
-        fixed: int, demand: float,
-    ) -> float:
-        probes = self.probes
-        if horizontal:
-            for ix in range(lo, hi + 1):
-                probes.add((layer_index, ix, fixed))
-        else:
-            for iy in range(lo, hi + 1):
-                probes.add((layer_index, fixed, iy))
-        return self._grid.line_congestion(
-            layer_index, horizontal, lo, hi, fixed, demand
-        )
-
-    def __getattr__(self, name: str):
-        return getattr(self._grid, name)
-
-    def entry(
-        self,
-        points_key: Tuple[Tuple[float, float], ...],
-        route: Optional["NetRoute"],
-    ) -> NetJournalEntry:
-        """Freeze the recorded probes plus the chosen route into an entry."""
-        probes = frozenset(self.probes)
-        return NetJournalEntry(
-            points=points_key,
-            probe_bins=probes,
-            probe_layers=frozenset(layer for layer, _, _ in probes),
-            segments=tuple(route.segments) if route is not None else (),
-        )
-
-
 class RoutingResult:
     """Everything the router produced: grid usage + per-net routes."""
 
@@ -183,9 +91,6 @@ class RoutingResult:
         self.grid = grid
         self.ndr = ndr
         self.routes: Dict[str, NetRoute] = {}
-        #: Initial-pass journal for warm-start re-routing (see module docs);
-        #: populated only when the route was run with ``record_journal``.
-        self.journal: Optional[RouteJournal] = None
         self._congestion_cache: Dict[str, float] = {}
 
     @property
@@ -484,101 +389,10 @@ def _route_net(
     return route
 
 
-def _mark_bins(
-    dirty_bins: Set[Tuple[int, int, int]], segments: Sequence[RouteSegment]
-) -> None:
-    for seg in segments:
-        layer = seg.layer
-        for ix, iy in seg.gcells:
-            dirty_bins.add((layer, ix, iy))
-
-
-def _replay_initial(
-    layout: Layout,
-    grid: RoutingGrid,
-    ndr: NonDefaultRule,
-    journal: RouteJournal,
-    result: RoutingResult,
-    clock_nets,
-    nets: Sequence[str],
-    points_map: Dict[str, List[Point]],
-    recorder: _ProbeRecorder,
-    entries: Dict[str, NetJournalEntry],
-) -> int:
-    """Replay ``journal`` as the initial pass; returns #nets reused.
-
-    Exactness argument: process nets in the same (new) HPWL order a fresh
-    route would.  ``dirty_bins`` tracks every bin where the evolving grid
-    can differ from the journaled run's grid *at the equivalent point in
-    time*: the old segments of every invalidated net (marked up front —
-    they may sit anywhere in the old order) plus the old and new segments
-    of every net re-routed so far.  A journaled net whose probe set avoids
-    those bins observes exactly the values it observed when recorded, so
-    its decision process — and therefore its segments — replay verbatim;
-    any other net is re-routed live against the current grid, which by
-    induction equals the fresh router's grid at that point.
-    """
-    changed_layers = {
-        layer
-        for layer in range(1, ndr.num_layers + 1)
-        if ndr.track_demand(layer) != journal.ndr.track_demand(layer)
-    }
-    keys = {
-        name: tuple((p.x, p.y) for p in points_map[name]) for name in nets
-    }
-    dirty: Set[str] = set()
-    dirty_bins: Set[Tuple[int, int, int]] = set()
-    for name in nets:
-        entry = journal.entries.get(name)
-        if (
-            entry is None
-            or keys[name] != entry.points
-            or entry.probe_layers & changed_layers
-        ):
-            dirty.add(name)
-            if entry is not None:
-                _mark_bins(dirty_bins, entry.segments)
-
-    reused = 0
-    for name in nets:
-        entry = journal.entries.get(name)
-        if name not in dirty and entry.probe_bins.isdisjoint(dirty_bins):
-            if len(points_map[name]) >= 2:
-                route = NetRoute(net=name, segments=list(entry.segments))
-                for seg in entry.segments:
-                    grid.add_segment(seg.layer, seg.gcells, seg.demand)
-                _finalize_parasitics(route, layout, ndr)
-                result.routes[name] = route
-            entries[name] = entry
-            reused += 1
-        else:
-            if name not in dirty and entry is not None:
-                # Became dirty mid-replay: a probed bin was touched by an
-                # earlier re-route.  Its old segments join the dirty set
-                # so nets after it see the difference too.
-                _mark_bins(dirty_bins, entry.segments)
-            recorder.begin()
-            route = _route_net(
-                layout,
-                recorder,
-                ndr,
-                name,
-                name in clock_nets,
-                points=points_map[name],
-            )
-            if route is not None:
-                result.routes[name] = route
-                _mark_bins(dirty_bins, route.segments)
-            entries[name] = recorder.entry(keys[name], route)
-    return reused
-
-
 def global_route(
     layout: Layout,
     ndr: Optional[NonDefaultRule] = None,
     ripup_passes: int = 1,
-    warm_start: Optional[RouteJournal] = None,
-    record_journal: bool = False,
 ) -> RoutingResult:
     """Route every multi-pin net of ``layout``.
 
@@ -587,13 +401,6 @@ def global_route(
         ndr: Width-scaling rule; default is all-1.0.
         ripup_passes: How many rip-up/re-route rounds to run on nets
             crossing overflowed gcells.
-        warm_start: A :class:`RouteJournal` from a previous route of (a
-            variant of) this layout; the initial pass replays it, only
-            re-routing invalidated nets.  The result is identical to a
-            cold route (see the module docs) and carries a fresh journal.
-        record_journal: Record the initial pass into ``result.journal``
-            so a later call can warm-start from this route (implied by
-            ``warm_start``).
 
     Returns:
         A :class:`RoutingResult` with grid usage and per-net parasitics.
@@ -605,8 +412,6 @@ def global_route(
         raise RoutingError(
             f"NDR covers {ndr.num_layers} layers, technology has {tech.num_layers}"
         )
-    record = record_journal or warm_start is not None
-    reused = 0
     with obs.timed("route.global"):
         grid = RoutingGrid(tech, layout.core)
         result = RoutingResult(grid, ndr)
@@ -622,32 +427,14 @@ def global_route(
         }
         nets.sort(key=hpwl_map.__getitem__)
 
-        recorder = _ProbeRecorder(grid) if record else None
-        entries: Dict[str, NetJournalEntry] = {}
         with obs.timed("route.initial"):
-            if warm_start is not None:
-                reused = _replay_initial(
-                    layout, grid, ndr, warm_start, result, clock_nets,
-                    nets, points_map, recorder, entries,
+            for name in nets:
+                route = _route_net(
+                    layout, grid, ndr, name, name in clock_nets,
+                    points=points_map[name],
                 )
-            else:
-                for name in nets:
-                    target = grid
-                    if recorder is not None:
-                        recorder.begin()
-                        target = recorder
-                    route = _route_net(
-                        layout, target, ndr, name, name in clock_nets,
-                        points=points_map[name],
-                    )
-                    if route is not None:
-                        result.routes[name] = route
-                    if recorder is not None:
-                        entries[name] = recorder.entry(
-                            tuple((p.x, p.y) for p in points_map[name]), route
-                        )
-        if record:
-            result.journal = RouteJournal(ndr=ndr, entries=entries)
+                if route is not None:
+                    result.routes[name] = route
 
         ripped_up = 0
         with obs.timed("route.ripup"):
@@ -675,12 +462,6 @@ def global_route(
         obs.count("route.nets_routed", len(result.routes))
         obs.count("route.ripup_victims", ripped_up)
         obs.gauge_set("route.overflows", grid.num_overflows(), keep_max=True)
-        if warm_start is not None:
-            obs.count("route.warm.reused_nets", reused)
-            obs.count("route.warm.rerouted_nets", len(nets) - reused)
-            obs.observe(
-                "route.warm.reuse_fraction", reused / max(len(nets), 1)
-            )
     return result
 
 

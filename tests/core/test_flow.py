@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.flow import GDSIIGuard
 from repro.core.params import FlowConfig, ParameterSpace
 
@@ -90,3 +91,44 @@ class TestRun:
         b = guard.run(ParameterSpace(10).default())
         assert a.score == pytest.approx(b.score)
         assert a.tns == pytest.approx(b.tns)
+
+
+class TestLdaPrefixChaining:
+    """An LDA key grown from a cached shorter prefix equals a full run."""
+
+    def test_chained_lda_equals_full_run(self, misty_design):
+        d = misty_design
+        scales = tuple([1.0] * 10)
+
+        def make_guard(incremental):
+            return GDSIIGuard(
+                d.layout,
+                d.constraints,
+                d.assets,
+                baseline_routing=d.routing,
+                incremental=incremental,
+            )
+
+        chained_guard = make_guard(True)
+        chained_guard.run(FlowConfig("LDA", 4, 1, scales))
+        obs.enable()
+        try:
+            chained = chained_guard.run(FlowConfig("LDA", 4, 3, scales))
+            chains = obs.get_metrics().counter(
+                "flow.incremental.op_prefix_chains"
+            ).value
+        finally:
+            obs.disable()
+            obs.get_metrics().reset()
+        assert chains == 1
+        full = make_guard(False).run(FlowConfig("LDA", 4, 3, scales))
+
+        def iterations(result):
+            return [
+                (it.moved, it.total_displacement_um, it.unresolved_blockages)
+                for it in result.op_report.iterations
+            ]
+
+        assert chained.layout.placements == full.layout.placements
+        assert chained.objectives == full.objectives
+        assert iterations(chained) == iterations(full)

@@ -203,7 +203,7 @@ def _run_sequences(design, rng, n_sequences):
         inc = evaluator.evaluate(ndr=ndr)
         routing, sta, security = _oracle(design, ndr)
         assert _routing_key(inc.routing) == _routing_key(routing), (
-            f"step {step}: warm-start routing diverged from fresh route"
+            f"step {step}: routing diverged from fresh route"
         )
         assert _sta_key(inc.sta) == _sta_key(sta), (
             f"step {step}: delta-STA diverged from full STA"
@@ -316,8 +316,8 @@ class TestFlowDifferential:
     @pytest.mark.slow
     def test_flow_configs_bulk(self, diff_design):
         # Repeats op keys with fresh scale vectors on purpose: the cached
-        # operator entry + journal chain is exactly the state the GA
-        # inner loop exercises.
+        # operator entry is exactly the state the GA inner loop
+        # exercises.
         rng = random.Random(404)
         configs = self._random_configs(
             rng, diff_design["tech"].num_layers, count=10

@@ -207,6 +207,33 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="malformed campaign"):
             CampaignCheckpoint.load(manager)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p["resilience"].update(retries="x"),
+            lambda p: p.update(batch=0, outcomes={}),
+            lambda p: p["outcomes"]["baseline"]["a2-er20-first"][0].pop(
+                "success"
+            ),
+        ],
+        ids=[
+            "resilience-retries", "batch-without-outcomes",
+            "row-without-success",
+        ],
+    )
+    def test_malformed_field_fails_resume(
+        self, make_campaign, tmp_path, corrupt
+    ):
+        """A bad field fails ``--resume`` with a typed error, never a raw
+        exception from the restore or the summary."""
+        make_campaign(checkpoint_dir=tmp_path).run()
+        path = CheckpointManager(tmp_path).path
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="malformed campaign"):
+            make_campaign(checkpoint_dir=tmp_path, resume=True).run().to_json()
+
     def test_checkpoint_payload_roundtrip(self, make_campaign, tmp_path):
         make_campaign(checkpoint_dir=tmp_path).run()
         ckpt = CampaignCheckpoint.load(CheckpointManager(tmp_path))

@@ -222,6 +222,41 @@ class TestExplorationCheckpoint:
         with pytest.raises(CheckpointError, match="malformed exploration"):
             ExplorationCheckpoint.from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rng_state", {"x": 1}),
+            ("rng_state", 5),
+            (
+                "rng_state",
+                {
+                    "bit_generator": "PCG64",
+                    "state": {"state": -1, "inc": 1},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                },
+            ),
+            ("nsga2", 5),
+            ("nsga2", [1, 2]),
+        ],
+        ids=[
+            "rng_state-dict", "rng_state-int", "rng_state-negative",
+            "nsga2-int", "nsga2-list",
+        ],
+    )
+    def test_malformed_field_fails_resume(
+        self, make_explorer, tmp_path, field, value
+    ):
+        """A bad field fails ``--resume`` with a typed error, never a raw
+        exception from the restore or the identity check."""
+        make_explorer(checkpoint_dir=tmp_path).explore()
+        path = CheckpointManager(tmp_path).path
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="malformed exploration"):
+            make_explorer(checkpoint_dir=tmp_path, resume=True).explore()
+
     @given(
         objectives=st.tuples(
             st.floats(allow_nan=False, allow_infinity=False),
