@@ -13,7 +13,6 @@ this benchmark reports two things:
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -22,10 +21,8 @@ from repro.bench.designs import build_design
 from repro.core.flow import GDSIIGuard
 from repro.defenses import ba_defense, bisa_defense, icas_defense
 from repro.defenses.icas import DEFAULT_PACKING_SWEEP
-from repro.obs import Metrics
 from repro.optimize.explorer import ParetoExplorer
 from repro.optimize.nsga2 import NSGA2Config
-from repro.reporting.profile_report import write_metrics_json
 from repro.reporting.runtime_model import (
     ba_runtime,
     bisa_runtime,
@@ -35,64 +32,6 @@ from repro.reporting.runtime_model import (
 from repro.reporting.tables import format_table
 
 PAPER_HOURS = {"ICAS": 9.4, "BISA": 6.5, "Ba": 7.0, "GDSII-Guard": 4.8}
-
-#: Where the machine-readable perf snapshot lands (CI archives it as a
-#: workflow artifact so runtime trajectories can be diffed across PRs).
-METRICS_OUT = os.environ.get(
-    "REPRO_BENCH_METRICS_OUT", "bench_runtime_metrics.json"
-)
-
-
-def test_perf_suite_smoke(monkeypatch):
-    """The ``repro bench`` engine end to end on a shrunken workload.
-
-    Exercises the child-process measurement protocol, the aggregation
-    schema consumed by ``tools/bench_compare.py``, and the compare gate
-    itself (a synthetic 20% slowdown must fail, and the same file against
-    itself must pass).
-    """
-    import sys
-    from pathlib import Path
-
-    from repro.bench import perf
-    from repro.bench.perf import SuiteOptions, run_suite
-
-    # Shrink the pinned exploration budget for the smoke run only; the
-    # child processes pick the override up from the environment.
-    monkeypatch.setenv("REPRO_PERF_POP", "4")
-    monkeypatch.setenv("REPRO_PERF_GENS", "1")
-    monkeypatch.setattr(perf, "PERF_POP", 4)
-    monkeypatch.setattr(perf, "PERF_GENS", 1)
-
-    record = run_suite(
-        SuiteOptions(quick=True, cases=["explore_present_full"]),
-        rev="smoke",
-    )
-    assert record["schema"] == perf.SCHEMA
-    case = record["cases"]["explore_present_full"]
-    assert case["wall_s"]["median"] > 0
-    assert case["evaluations"] > 0
-    assert case["evals_per_sec"] > 0
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-    try:
-        import bench_compare
-    finally:
-        sys.path.pop(0)
-    lines, regressed = bench_compare.compare(record, record, 0.15)
-    assert not regressed, lines
-    slowed = {
-        "cases": {
-            "explore_present_full": {
-                "wall_s": {
-                    "median": case["wall_s"]["median"] * 1.2,
-                },
-            },
-        },
-    }
-    lines, regressed = bench_compare.compare(record, slowed, 0.15)
-    assert regressed == ["explore_present_full"], lines
-
 
 def test_runtime_comparison_aes2(benchmark):
     design = build_design("AES_2")
@@ -138,24 +77,6 @@ def test_runtime_comparison_aes2(benchmark):
             production_evals, processes=4, cache_rate=cache_rate
         ).total_hours(),
     }
-
-    # Emit everything through the obs metrics registry so CI archives a
-    # machine-readable snapshot per run (diffable across PRs).
-    registry = Metrics()
-    for name in PAPER_HOURS:
-        registry.gauge(f"runtime.measured_s.{name}").set(measured[name])
-        registry.gauge(f"runtime.modeled_h.{name}").set(modeled[name])
-        registry.gauge(f"runtime.paper_h.{name}").set(PAPER_HOURS[name])
-    registry.gauge("runtime.ga.cache_rate").set(cache_rate)
-    registry.counter("runtime.ga.evaluations").inc(result.evaluations)
-    registry.counter("runtime.ga.cache_requests").inc(result.cache_requests)
-    registry.counter("runtime.ga.cache_hits").inc(result.cache_hits)
-    if METRICS_OUT:
-        write_metrics_json(
-            registry.snapshot(),
-            METRICS_OUT,
-            extra={"design": "AES_2", "bench": "bench_runtime"},
-        )
 
     rows = [
         [

@@ -46,7 +46,7 @@ from repro.core.params import (
     RWS_SCALE_CHOICES,
     FlowConfig,
 )
-from repro.errors import ReproError
+from repro.errors import FlowError, ReproError
 from repro.reporting.tables import format_table
 
 
@@ -62,16 +62,21 @@ def _build_guard(design, incremental: bool = True, check_invariants: bool = Fals
 
 
 def _parse_scales(raw: str, num_layers: int) -> tuple:
-    parts = [float(x) for x in raw.split(",")] if raw else [1.0]
+    try:
+        parts = [float(x) for x in raw.split(",")] if raw else [1.0]
+    except ValueError:
+        raise FlowError(
+            f"--rws {raw!r}: expected comma-separated numbers"
+        ) from None
     if len(parts) == 1:
         parts = parts * num_layers
     if len(parts) != num_layers:
-        raise SystemExit(
+        raise FlowError(
             f"--rws needs 1 or {num_layers} comma-separated values"
         )
     for p in parts:
         if p not in RWS_SCALE_CHOICES:
-            raise SystemExit(f"RWS scale {p} not in {RWS_SCALE_CHOICES}")
+            raise FlowError(f"RWS scale {p} not in {RWS_SCALE_CHOICES}")
     return tuple(parts)
 
 
@@ -291,10 +296,13 @@ def _load_front_genomes(path: str) -> list:
     entries may be full individuals (``{"genome": ...}``) or bare
     genome dicts.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise FlowError(f"--front {path}: {exc}") from None
     entries = payload.get("front") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not entries:
-        raise SystemExit(
+        raise FlowError(
             f"--front {path}: expected a non-empty JSON list of front "
             f"entries (or an object with a 'front' list)"
         )
@@ -347,7 +355,7 @@ def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
     campaign = AttackCampaign(
         targets,
         AttackGrid.preset(args.grid or "quick"),
-        attempts=args.attempts or 4,
+        attempts=4 if args.attempts is None else args.attempts,
         seed=args.seed,
         processes=args.processes,
         checkpoint_dir=args.checkpoint_dir,
@@ -627,30 +635,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print(report.format_text(verbose=args.verbose))
     return report.exit_code(Severity.parse(args.fail_on))
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (
-        SuiteOptions,
-        format_suite_table,
-        git_rev,
-        run_suite,
-    )
-
-    options = SuiteOptions(
-        quick=args.quick,
-        repeat=args.repeat,
-        cases=args.case or None,
-    )
-    rev = git_rev()
-    record = run_suite(
-        options, rev=rev, progress=lambda msg: print(f"[bench] {msg}")
-    )
-    out = Path(args.out) if args.out else Path(f"BENCH_{rev}.json")
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(format_suite_table(record))
-    print(f"wrote {out}")
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -975,20 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser(
-        "bench",
-        help="pinned perf suite; writes BENCH_<rev>.json for CI diffing",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="single repeat per case (the CI perf-job setting)")
-    p.add_argument("--repeat", type=int, default=None,
-                   help="repeats per case (default 3, 1 with --quick)")
-    p.add_argument("--case", action="append", default=[],
-                   help="run only these cases (repeatable); default: all")
-    p.add_argument("--out",
-                   help="result path (default BENCH_<git rev>.json)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "serve",

@@ -118,7 +118,7 @@ def write_metrics_json(
     path: Union[str, Path],
     extra: Optional[dict] = None,
 ) -> Path:
-    """Archive a snapshot as JSON (CI's machine-readable perf artifact).
+    """Archive a snapshot as JSON (``repro profile --json``).
 
     ``extra`` entries (e.g. design name, git SHA, budget knobs) are stored
     under a ``"meta"`` key beside the ``"metrics"`` payload.

@@ -27,7 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import OptimizationError, ServiceError
+from repro.optimize.nsga2 import NSGA2Config
 
 __all__ = ["JobSpec", "JobRecord", "JobState", "JOB_KINDS"]
 
@@ -120,10 +121,12 @@ class JobSpec:
             object.__setattr__(self, "resume", True)
         if not self.design:
             raise ServiceError("job spec needs a design name")
-        if self.population < 2:
-            raise ServiceError("population must be >= 2")
-        if self.generations < 0:
-            raise ServiceError("generations must be >= 0")
+        if self.kind == "explore":
+            try:
+                NSGA2Config(population_size=self.population,
+                            generations=self.generations)
+            except OptimizationError as exc:
+                raise ServiceError(str(exc)) from None
         if self.processes < 0:
             raise ServiceError("processes must be >= 0")
         if self.attempts < 1:

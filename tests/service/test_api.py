@@ -166,6 +166,20 @@ class TestErrorSurfaces:
             assert status == 400
             assert "unknown job spec fields: turbo" in body["error"]
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"population": 3}, "population must be >= 4"),
+        ({"generations": 0}, "generations must be >= 1"),
+    ])
+    def test_submit_with_ga_budget_nsga2_rejects_is_400(
+        self, make_service, overrides, message
+    ):
+        with make_service() as (url, _app):
+            status, _, body = _raw(
+                url, "POST", "/jobs", explore_spec(**overrides)
+            )
+            assert status == 400
+            assert message in body["error"]
+
     def test_submit_with_bad_design_is_400_for_real_guard(self, tmp_path):
         from repro.service.app import ServiceApp, ServiceThread
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import _parse_scales, build_parser, main
+from repro.errors import FlowError
 
 
 class TestParser:
@@ -65,12 +66,19 @@ class TestScales:
         assert scales[-1] == 1.5
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(FlowError, match="1 or 10"):
             _parse_scales("1.0,1.2", 10)
 
     def test_invalid_value_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(FlowError, match="not in"):
             _parse_scales("1.3", 10)
+
+    @pytest.mark.parametrize("rws", ["abc", "1,2", "1.3"])
+    def test_bad_rws_exits_2_with_one_line(self, rws, capsys):
+        assert main(["harden", "PRESENT", "--rws", rws]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
 
 
 class TestCommands:
@@ -128,6 +136,23 @@ class TestCommands:
         assert sorted(r["spec_id"] for r in payload["results"]) == [
             "a2-er20-first", "lean-er12-first",
         ]
+
+    def test_attack_zero_attempts_is_rejected(self, capsys):
+        rc = main(["attack", "PRESENT", "--grid", "ci", "--attempts", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "at least one attempt" in err
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_attack_unreadable_front_exits_2(self, tmp_path, capsys,
+                                             content):
+        front = tmp_path / "front.json"
+        if content is not None:
+            front.write_text(content)
+        assert main(["attack", "PRESENT", "--front", str(front)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: --front {front}: ")
+        assert err.count("\n") == 1
 
     def test_attack_gate_needs_hardened_target(self, tmp_path):
         with pytest.raises(SystemExit, match="hardened target"):
