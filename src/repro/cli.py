@@ -212,6 +212,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from repro.resilience.supervisor import SupervisionConfig
     from repro.optimize.nsga2 import NSGA2Config
 
+    supervision = SupervisionConfig(
+        timeout_s=args.eval_timeout, max_retries=args.max_retries
+    )
     d = build_design(args.design)
     guard = _build_guard(d, incremental=not args.no_incremental)
     explorer = ParetoExplorer(
@@ -224,10 +227,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         processes=args.processes,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
-        supervision=SupervisionConfig(
-            timeout_s=args.eval_timeout,
-            max_retries=args.max_retries,
-        ),
+        supervision=supervision,
     )
     result = explorer.explore()
     if result.resumed_from is not None:
@@ -1046,9 +1046,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     checkpoint directory, flow mis-configuration, ...) exit non-zero
     with a one-line actionable message instead of a traceback.
     """
+    from repro.resilience.supervisor import check_processes
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_processes(getattr(args, "processes", 0))
         return args.func(args)
     except ReproError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)

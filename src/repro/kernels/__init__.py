@@ -2,10 +2,10 @@
 
 STA arrival/required propagation (:mod:`~repro.kernels.sta`), exploitable-
 site row filtering (:mod:`~repro.kernels.exploitable`), routing-grid track
-accounting and congestion probes (:mod:`~repro.kernels.routegrid`), and
-the legalizer start search and ECO receiving-target scan
-(:mod:`~repro.kernels.legalize`) are implemented only here: the flow
-calls these functions directly.
+accounting and the pair router's one-gather shape scores
+(:mod:`~repro.kernels.routegrid`), and the legalizer start search and ECO
+receiving-target scan (:mod:`~repro.kernels.legalize`) are implemented
+only here: the flow calls these functions directly.
 
 Each kernel is **bitwise equal** to the plain per-element Python reading
 of its definition.  Those scalar readings live in ``tests/oracles/`` and

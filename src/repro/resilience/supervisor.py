@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.errors import ReproError
+from repro.errors import ReproError, ResilienceError
 from repro.resilience import faults
 
 __all__ = [
@@ -126,6 +126,18 @@ class SupervisionConfig:
     backoff_s: float = 0.02
     max_worker_failures: int = 4
     poll_s: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ResilienceError(f"evaluation timeout must be > 0 s, got {self.timeout_s}")
+        if self.max_retries < 0:
+            raise ResilienceError(f"max retries must be >= 0, got {self.max_retries}")
+
+
+def check_processes(processes: int) -> None:
+    """Reject a negative worker-process count (0 means inline serial)."""
+    if processes < 0:
+        raise ResilienceError(f"processes must be >= 0, got {processes}")
 
 
 @dataclass

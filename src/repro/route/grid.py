@@ -62,11 +62,6 @@ class RoutingGrid:
             else:
                 tracks = self.gcell_w / layer.track_pitch
             self.capacity[layer.index - 1, :, :] = tracks * capacity_derate
-        #: with every bin's capacity positive (the universal case) the
-        #: congestion probe can skip its divide-by-zero handling.
-        self._cap_all_positive = bool(self.capacity.min() > 0.0)
-        #: scratch buffer for allocation-free congestion probes.
-        self._scratch = np.empty(max(self.nx, self.ny), dtype=float)
 
     # ------------------------------------------------------------------ #
     # coordinate mapping
@@ -120,65 +115,6 @@ class RoutingGrid:
         _rk.apply_line(
             self.usage[layer_index - 1], *_rk.as_span(gcells), -demand
         )
-
-    def line_congestion(
-        self, layer_index: int, horizontal: bool, lo: int, hi: int,
-        fixed: int, demand: float,
-    ) -> float:
-        """Worst post-route usage/capacity ratio along a candidate segment.
-
-        The segment is the run ``lo..hi`` (inclusive) along row ``fixed``
-        when ``horizontal``, else along column ``fixed``; a bin with no
-        capacity scores ``inf``.
-        """
-        k = layer_index - 1
-        if self._cap_all_positive:
-            if hi - lo < 6:
-                # Short spans (the common case) beat numpy's per-call
-                # overhead with plain scalar arithmetic — the same float64
-                # values, so bitwise-identical results.
-                usage = self.usage
-                capacity = self.capacity
-                if horizontal:
-                    worst = (
-                        usage.item(k, lo, fixed) + demand
-                    ) / capacity.item(k, lo, fixed)
-                    for i in range(lo + 1, hi + 1):
-                        r = (
-                            usage.item(k, i, fixed) + demand
-                        ) / capacity.item(k, i, fixed)
-                        if r > worst:
-                            worst = r
-                else:
-                    worst = (
-                        usage.item(k, fixed, lo) + demand
-                    ) / capacity.item(k, fixed, lo)
-                    for i in range(lo + 1, hi + 1):
-                        r = (
-                            usage.item(k, fixed, i) + demand
-                        ) / capacity.item(k, fixed, i)
-                        if r > worst:
-                            worst = r
-                return worst
-            if horizontal:
-                c = self.capacity[k, lo : hi + 1, fixed]
-                u = self.usage[k, lo : hi + 1, fixed]
-            else:
-                c = self.capacity[k, fixed, lo : hi + 1]
-                u = self.usage[k, fixed, lo : hi + 1]
-            # Allocation-free: same elementwise IEEE add/divide, and the
-            # max reduction is order-independent.
-            buf = self._scratch[: hi - lo + 1]
-            np.add(u, demand, out=buf)
-            np.divide(buf, c, out=buf)
-            return float(buf.max())
-        if horizontal:
-            c = self.capacity[k, lo : hi + 1, fixed]
-            u = self.usage[k, lo : hi + 1, fixed]
-        else:
-            c = self.capacity[k, fixed, lo : hi + 1]
-            u = self.usage[k, fixed, lo : hi + 1]
-        return _rk.line_congestion_general(c, u, demand)
 
     # ------------------------------------------------------------------ #
     # congestion queries

@@ -83,9 +83,12 @@ class ServiceHTTP:
     # ------------------------------------------------------------------ #
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, host=host, port=port
+            )
+        except (OverflowError, OSError) as exc:  # bad port, address in use
+            raise ServiceError(f"cannot listen on {host}:{port}: {exc}") from None
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         logger.info("listening on http://%s:%d", self.host, self.port)

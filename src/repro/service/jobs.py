@@ -27,8 +27,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import OptimizationError, ServiceError
+from repro.errors import OptimizationError, ResilienceError, ServiceError
 from repro.optimize.nsga2 import NSGA2Config
+from repro.resilience.supervisor import check_processes
 
 __all__ = ["JobSpec", "JobRecord", "JobState", "JOB_KINDS"]
 
@@ -121,14 +122,13 @@ class JobSpec:
             object.__setattr__(self, "resume", True)
         if not self.design:
             raise ServiceError("job spec needs a design name")
-        if self.kind == "explore":
-            try:
+        try:
+            if self.kind == "explore":
                 NSGA2Config(population_size=self.population,
                             generations=self.generations)
-            except OptimizationError as exc:
-                raise ServiceError(str(exc)) from None
-        if self.processes < 0:
-            raise ServiceError("processes must be >= 0")
+            check_processes(self.processes)
+        except (OptimizationError, ResilienceError) as exc:
+            raise ServiceError(str(exc)) from None
         if self.attempts < 1:
             raise ServiceError("attempts must be >= 1")
         if not self.grid:

@@ -10,8 +10,9 @@ inputs and compare every observable output exactly — no tolerances:
   the resulting region sets;
 * cell-shift re-space: the incremental below-row component weights;
 * legalizer start search and the ECO receiving-target choice;
-* routing: grid usage and congestion probes, per-net congestion factors,
-  rip-up victim scans, two-pin routing, and whole router runs.
+* routing: grid usage, shape scores, per-net congestion factors, rip-up
+  victim scans, the pair router over every candidate tier list, and
+  whole router runs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ from repro.place.global_place import GlobalPlacementSpec, global_place
 from repro.route import router
 from repro.route.grid import RoutingGrid
 from repro.route.ndr import NonDefaultRule
-from repro.route.router import RoutingResult, _route_two_pin, global_route
+from repro.route.router import (
+    RoutingResult,
+    _route_pair,
+    assign_layer_tier,
+    global_route,
+)
 from repro.security.assets import annotate_key_assets
 from repro.security.exploitable import (
     _regions_from_filtered,
@@ -61,8 +67,8 @@ DESIGN_SEEDS = (7, 19, 31)
 THRESH_ER = 5
 CLOCK_PERIOD = 0.9
 
-#: Core of the standalone grids: ~22 × 21 gcells, so probes cover both the
-#: short-span loop and the numpy slice path of ``line_congestion``.
+#: Core of the standalone grids: ~22 × 21 gcells, so candidate pieces
+#: run from one gcell to the whole grid.
 GRID_CORE = Rect(0.0, 0.0, 100.0, 90.0)
 
 _FIXTURE_SETTINGS = dict(
@@ -573,10 +579,23 @@ def _draw_run(data, grid, k: int, i: int):
     return layer, (horizontal, lo, hi, fixed), cells
 
 
+def _probe(grid, layer, span, demand):
+    """The kernel's score of one straight run on one layer."""
+    tables = rk.tier_tables(
+        grid.capacity, [demand] * grid.capacity.shape[0], [(layer, layer)]
+    )
+    [[score]] = rk.shape_scores(grid.usage, tables, [[(*span, 0.0)]])
+    return score
+
+
 @settings(max_examples=40, **_FIXTURE_SETTINGS)
 @given(data=st.data())
 def test_grid_accounting_equal(one_design, data):
-    """Random straight segments: usage and probes agree bitwise."""
+    """Random straight segments: usage and scores agree bitwise.
+
+    Each run is scored before it is committed, so later scores read the
+    usage of earlier commits.
+    """
     tech = one_design["tech"]
     oracle = RoutingGrid(tech, GRID_CORE)
     kernel = RoutingGrid(tech, GRID_CORE)
@@ -589,7 +608,7 @@ def test_grid_accounting_equal(one_design, data):
             st.floats(0.1, 3.0, allow_nan=False), label=f"demand{i}"
         )
         probe = oracle_rg.segment_congestion(oracle, layer, cells, demand)
-        assert probe == kernel.line_congestion(layer, *span, demand)
+        assert probe == _probe(kernel, layer, span, demand)
         oracle_rg.add_segment(oracle, layer, cells, demand)
         kernel.add_segment(layer, cells, demand)
         applied.append((layer, cells, demand))
@@ -604,29 +623,52 @@ def test_grid_accounting_equal(one_design, data):
 
 @settings(max_examples=40, **_FIXTURE_SETTINGS)
 @given(data=st.data())
-def test_line_congestion_zero_capacity_equal(one_design, data):
-    """Bins without capacity score inf, on the general probe path."""
+def test_shape_scores_zero_capacity_equal(one_design, data):
+    """Multi-piece shapes on several tiers, with bins of capacity <= 0.
+
+    Such a bin scores inf, including 0/0 (a zero demand on a zero
+    capacity); a shape scores the max over its pieces.
+    """
     tech = one_design["tech"]
+    k = tech.num_layers
     grid = RoutingGrid(tech, GRID_CORE)
     rng = _rng(data)
     grid.usage[:] = rng.uniform(0.0, 2.0, grid.usage.shape) * grid.capacity
-    grid.capacity[rng.random(grid.capacity.shape) < 0.3] = 0.0
-    for i in range(8):
-        layer, span, cells = _draw_run(data, grid, tech.num_layers, i)
-        demand = data.draw(
-            st.floats(0.0, 3.0, allow_nan=False), label=f"demand{i}"
+    dead = rng.random(grid.capacity.shape) < 0.3
+    grid.capacity[dead] *= rng.choice([0.0, -1.0], size=grid.capacity.shape)[dead]
+    demand = [
+        data.draw(st.sampled_from([0.0, 1.0, 1.5, 2.0]), label=f"demand{i}")
+        for i in range(k)
+    ]
+    tiers = [
+        (
+            data.draw(st.integers(1, k), label=f"h{t}"),
+            data.draw(st.integers(1, k), label=f"v{t}"),
         )
-        horizontal, lo, hi, fixed = span
-        k = layer - 1
-        if horizontal:
-            c = grid.capacity[k, lo : hi + 1, fixed]
-            u = grid.usage[k, lo : hi + 1, fixed]
-        else:
-            c = grid.capacity[k, fixed, lo : hi + 1]
-            u = grid.usage[k, fixed, lo : hi + 1]
-        assert rk.line_congestion_general(c, u, demand) == (
-            oracle_rg.segment_congestion(grid, layer, cells, demand)
-        )
+        for t in range(data.draw(st.integers(1, 5), label="tiers"))
+    ]
+    shapes = [
+        [_draw_run(data, grid, k, 3 * i + j)[1:] for j in range(1 + i % 3)]
+        for i in range(data.draw(st.integers(1, 4), label="shapes"))
+    ]
+    kernel = rk.shape_scores(
+        grid.usage,
+        rk.tier_tables(grid.capacity, demand, tiers),
+        [[(*span, 0.0) for span, _ in shape] for shape in shapes],
+    )
+    for (h, v), scores in zip(tiers, kernel):
+        oracle = []
+        for shape in shapes:
+            pieces = []
+            for (horizontal, *_), cells in shape:
+                layer = h if horizontal else v
+                pieces.append(
+                    oracle_rg.segment_congestion(
+                        grid, layer, cells, demand[layer - 1]
+                    )
+                )
+            oracle.append(max(pieces))
+        assert scores == oracle
 
 
 # ---------------------------------------------------------------------- #
@@ -673,40 +715,67 @@ def test_victims_of_equal(one_routed, data):
     )
 
 
+def _segs_or_none(segs):
+    return None if segs is None else _segs_key(segs)
+
+
 @settings(max_examples=40, **_FIXTURE_SETTINGS)
 @given(data=st.data())
-def test_route_two_pin_equal(one_design, data):
-    """Span probes pick the oracle's shape, for every tier of a pin pair.
+def test_route_pair_equal(one_design, data):
+    """The one-gather pair router picks the oracle's tier and shape.
 
-    One probe memo is shared across the tier loop, as ``_route_net``
-    shares it.
+    Every candidate tier list a route builds is checked: each base tier
+    at tier_bump 0 and 1, on the 10-layer stack and on a 3-layer stack
+    where clamping repeats a tier.  A lattice grid (one capacity, usage
+    on a coarse grid, one width scale) makes exact ties between tiers
+    common, and zeroed bins make whole tiers score inf.
     """
-    tech = one_design["tech"]
-    core = GRID_CORE
-    grid = RoutingGrid(tech, core)
+    k = data.draw(st.sampled_from([10, 3]), label="layers")
+    tech = one_design["tech"] if k == 10 else nangate45_like(num_layers=k)
+    grid = RoutingGrid(tech, GRID_CORE)
     rng = _rng(data)
-    grid.usage[:] = rng.uniform(0.0, 1.2, grid.usage.shape) * grid.capacity
-    ndr = NonDefaultRule(
-        scales=tuple(
+    if data.draw(st.booleans(), label="lattice"):
+        grid.capacity[:] = 4.0
+        grid.usage[:] = rng.integers(0, 9, grid.usage.shape) * 0.5
+        scales = (data.draw(st.sampled_from([1.0, 1.5, 2.0]), label="scale"),) * k
+    else:
+        grid.usage[:] = rng.uniform(0.0, 1.2, grid.usage.shape) * grid.capacity
+        scales = tuple(
             data.draw(st.sampled_from([1.0, 1.5, 2.0]), label=f"scale{i}")
-            for i in range(tech.num_layers)
+            for i in range(k)
         )
-    )
+    if data.draw(st.booleans(), label="zero_caps"):
+        grid.capacity[rng.random(grid.capacity.shape) < 0.3] = 0.0
+    ndr = NonDefaultRule(scales=scales)
+    tier_sets = router._tier_sets(grid, ndr)
+    assert {
+        assign_layer_tier(hpwl, clock, k, core_scale=1.0)
+        for hpwl in (0.05, 0.2, 0.4, 0.7, 2.0)
+        for clock in (False, True)
+    } <= set(tier_sets)
+    candidate_lists = []
+    for base, by_bump in tier_sets.items():
+        for bump, tiers in enumerate(by_bump):
+            assert tiers.layers == tuple(oracle_rt._candidates(base, k, bump))
+            assert tiers.demands == tuple(
+                (ndr.track_demand(h), ndr.track_demand(v)) for h, v in tiers.layers
+            )
+            candidate_lists.append(tiers)
+    core = GRID_CORE
     coord_x = st.floats(core.xlo, core.xhi, allow_nan=False)
     coord_y = st.floats(core.ylo, core.yhi, allow_nan=False)
-    p1 = Point(data.draw(coord_x, label="x1"), data.draw(coord_y, label="y1"))
-    shape = data.draw(
-        st.sampled_from(["free", "same_x", "same_y", "same"]), label="shape"
-    )
-    x2 = p1.x if shape in ("same_x", "same") else data.draw(coord_x, label="x2")
-    y2 = p1.y if shape in ("same_y", "same") else data.draw(coord_y, label="y2")
-    p2 = Point(x2, y2)
-    memo: dict = {}
-    for h_layer, v_layer in router._TIERS:
-        kernel = _route_two_pin(grid, ndr, p1, p2, h_layer, v_layer, memo)
-        oracle = oracle_rt._route_two_pin(grid, ndr, p1, p2, h_layer, v_layer)
-        assert kernel[0] == oracle[0]
-        assert _segs_key(kernel[1]) == _segs_key(oracle[1])
+    for i in range(4):
+        p1 = Point(data.draw(coord_x, label=f"x1_{i}"), data.draw(coord_y, label=f"y1_{i}"))
+        shape = data.draw(
+            st.sampled_from(["free", "same_x", "same_y", "same"]), label=f"shape{i}"
+        )
+        x2 = p1.x if shape in ("same_x", "same") else data.draw(coord_x, label=f"x2_{i}")
+        y2 = p1.y if shape in ("same_y", "same") else data.draw(coord_y, label=f"y2_{i}")
+        p2 = Point(x2, y2)
+        for tiers in candidate_lists:
+            kernel = _route_pair(grid, tiers, p1, p2)
+            oracle = oracle_rt._route_pair(grid, tiers, p1, p2)
+            assert _segs_or_none(kernel) == _segs_or_none(oracle)
 
 
 def _route_digest(routing):
@@ -726,11 +795,12 @@ def _route_digest(routing):
 def test_global_route_equal(design, monkeypatch):
     """Whole router runs agree when every kernel is swapped for its oracle.
 
-    The production router's control flow (net order, tier loop with a
-    shared probe memo, rip-up, DRC repair) runs over the kernels, then
-    over the oracles; routes, usage, overflow and per-net congestion
-    factors must match exactly.  The second rule doubles every layer's
-    track demand, so the grid overflows and rip-up and DRC repair run.
+    The production router's control flow (net order and plans, rip-up,
+    DRC repair) runs over the kernels, then with the pair router and the
+    grid scans swapped for their oracles; routes, usage, overflow and
+    per-net congestion factors must match exactly.  The second rule
+    doubles every layer's track demand, so the grid overflows and rip-up
+    and DRC repair run.
     """
     layout = design["layout"]
     k = design["tech"].num_layers
@@ -740,7 +810,7 @@ def test_global_route_equal(design, monkeypatch):
     )
     kernel = [_route_digest(global_route(layout, ndr=ndr)) for ndr in ndrs]
     assert kernel[1][2] > 0, "doubled demand must overflow"
-    monkeypatch.setattr(router, "_route_two_pin", oracle_rt._route_two_pin)
+    monkeypatch.setattr(router, "_route_pair", oracle_rt._route_pair)
     monkeypatch.setattr(RoutingGrid, "add_segment", oracle_rg.add_segment)
     monkeypatch.setattr(
         RoutingGrid, "remove_segment", oracle_rg.remove_segment

@@ -13,7 +13,9 @@ results:
 * ``cell_shift._below_weights`` — ``core.cell_shift._IncrementalBelow``;
 * ``legalize._best_start_in_row`` / ``legalize._receiving_target`` —
   ``kernels.legalize.best_start_in_row`` / ``receiving_target``;
-* ``routegrid.*`` — ``RoutingGrid`` accounting and probes and the
-  ``kernels.routegrid`` scans;
-* ``router._route_two_pin`` — ``route.router._route_two_pin``.
+* ``routegrid.*`` — ``RoutingGrid`` accounting, the
+  ``kernels.routegrid`` scans, and (``segment_congestion``, per piece)
+  the shape scores of ``kernels.routegrid.shape_scores``;
+* ``router._route_pair`` — ``route.router._route_pair``, the tier loop
+  one tier and one piece at a time (``router._route_two_pin``).
 """

@@ -2,9 +2,10 @@
 
 Every function walks a gcell list one cell at a time.  The functions
 taking ``grid`` first are the per-cell readings of the
-:class:`~repro.route.grid.RoutingGrid` methods of the same name (or, for
-:func:`segment_congestion`, of ``RoutingGrid.line_congestion`` on the
-list's span); the rest share the signature of the
+:class:`~repro.route.grid.RoutingGrid` methods of the same name, except
+:func:`segment_congestion`, the per-piece reading of
+:func:`repro.kernels.routegrid.shape_scores` (a shape scores the max
+over its pieces); the rest share the signature of the
 :mod:`repro.kernels.routegrid` function they check.
 """
 

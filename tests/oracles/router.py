@@ -1,19 +1,21 @@
-"""Scalar oracle for the two-pin router.
+"""Scalar oracle for the pair router.
 
-The list-based reading of :func:`repro.route.router._route_two_pin`:
-each candidate piece's gcells are listed by :func:`_gcell_line` and
-probed one cell at a time.  The production router probes the same
-pieces as ``(lo, hi, fixed)`` spans and only materializes the winner.
+The tier-by-tier reading of :func:`repro.route.router._route_pair`: for
+each candidate tier in order, :func:`_route_two_pin` lists every
+candidate piece's gcells with :func:`_gcell_line`, probes them one cell
+at a time and keeps the least congested shape; the pair takes the first
+tier at or under 0.9, else the first strict minimum.  The production
+router computes the spans once, scores every tier in one gather and only
+materializes the winner.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.geometry import Point
 from repro.route.grid import RoutingGrid
-from repro.route.ndr import NonDefaultRule
-from repro.route.router import RouteSegment
+from repro.route.router import _TIERS, RouteSegment
 
 from tests.oracles.routegrid import segment_congestion
 
@@ -38,21 +40,19 @@ def _gcell_line(
 
 def _route_two_pin(
     grid: RoutingGrid,
-    ndr: NonDefaultRule,
     p1: Point,
     p2: Point,
     h_layer: int,
     v_layer: int,
-    memo: Optional[Dict[Tuple[int, bool, int, int, int], float]] = None,
+    h_demand: float,
+    v_demand: float,
 ) -> Tuple[float, List[RouteSegment]]:
-    """Route p1→p2 with the least congested of two L- and two Z-shapes.
+    """Route p1→p2 on one tier with the least congested L- or Z-shape.
 
     Returns (worst congestion ratio along the chosen shape, segments).
     Every candidate piece is materialized as a gcell list and probed
-    cell by cell; ``memo`` is accepted for signature parity and unused.
+    cell by cell.
     """
-    h_demand = ndr.track_demand(h_layer)
-    v_demand = ndr.track_demand(v_layer)
     dx = abs(p1.x - p2.x)
     dy = abs(p1.y - p2.y)
 
@@ -107,3 +107,52 @@ def _route_two_pin(
         )
     best = min(candidates, key=lambda c: c[0])
     return best
+
+
+def _candidates(
+    base: Tuple[int, int], k: int, tier_bump: int
+) -> List[Tuple[int, int]]:
+    """Candidate layer tiers of a net with base tier ``base``, in order.
+
+    The base tier, then the tiers above it, then the tiers below, each
+    clamped to a ``k``-layer stack; ``tier_bump`` drops leading tiers.
+    """
+    base_h, base_v = base
+
+    def clamp(h: int, v: int) -> Tuple[int, int]:
+        hh = min(h, k if k % 2 == 1 else k - 1)
+        vv = min(v, k if k % 2 == 0 else k - 1)
+        return (max(hh, 1), max(vv, 1 if k == 1 else 2))
+
+    base_idx = next(
+        (i for i, (h, v) in enumerate(_TIERS) if h >= base_h and v >= base_v),
+        len(_TIERS) - 1,
+    )
+    ordered = list(_TIERS[base_idx:]) + list(reversed(_TIERS[:base_idx]))
+    candidates = [clamp(h, v) for h, v in ordered]
+    if tier_bump:
+        candidates = candidates[min(tier_bump, len(candidates) - 1):]
+    return candidates
+
+
+def _route_pair(
+    grid: RoutingGrid, tiers, p1: Point, p2: Point
+) -> Optional[List[RouteSegment]]:
+    """Probe the candidate tiers one at a time, in order.
+
+    Reads only ``tiers.layers`` and ``tiers.demands`` of the production
+    ``_Tiers``.  Returns None when no tier scores below inf.
+    """
+    best_segs: Optional[List[RouteSegment]] = None
+    best_cong = float("inf")
+    for (h_layer, v_layer), (h_demand, v_demand) in zip(
+        tiers.layers, tiers.demands
+    ):
+        cong, segs = _route_two_pin(
+            grid, p1, p2, h_layer, v_layer, h_demand, v_demand
+        )
+        if cong < best_cong:
+            best_cong, best_segs = cong, segs
+        if cong <= 0.9:  # fits comfortably: stop at the lowest such tier
+            break
+    return best_segs

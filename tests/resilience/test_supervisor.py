@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.params import FlowConfig
-from repro.errors import InjectedFault
+from repro.errors import InjectedFault, ResilienceError
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.supervisor import (
@@ -19,6 +19,7 @@ from repro.resilience.supervisor import (
     SupervisionConfig,
     TaskSupervisor,
     _evaluate_config,
+    check_processes,
     _init_worker,
 )
 from tests.resilience.conftest import FakeGuard, ObsFakeGuard
@@ -267,3 +268,23 @@ class TestObsFolding:
             obs.disable()
         assert snap["resilience.worker_deaths"]["value"] == state.worker_deaths
         assert snap["resilience.retries"]["value"] == state.retries
+
+
+class TestSupervisionValues:
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout_s):
+        with pytest.raises(ResilienceError, match="timeout must be > 0"):
+            SupervisionConfig(timeout_s=timeout_s)
+
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ResilienceError, match="max retries must be >= 0"):
+            SupervisionConfig(max_retries=-1)
+
+    def test_none_timeout_and_zero_retries_accepted(self):
+        config = SupervisionConfig(timeout_s=None, max_retries=0)
+        assert config.timeout_s is None and config.max_retries == 0
+
+    def test_negative_processes_rejected(self):
+        check_processes(0)
+        with pytest.raises(ResilienceError, match="processes must be >= 0"):
+            check_processes(-1)

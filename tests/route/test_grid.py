@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect
+from repro.kernels.routegrid import shape_scores, tier_tables
 from repro.route.grid import RoutingGrid
 
 
@@ -48,9 +49,12 @@ class TestUsageAccounting:
         assert grid.num_overflows(slack=2.0) == 0
         assert grid.total_overflow() == pytest.approx(1.0)
 
-    def test_line_congestion(self, grid):
+    def test_shape_scores(self, grid):
+        # One cell (0, 0) of a horizontal piece, scored on layer 1.
         cap = grid.capacity[0, 0, 0]
-        assert grid.line_congestion(1, True, 0, 0, 0, cap / 2) == pytest.approx(0.5)
+        tables = tier_tables(grid.capacity, [cap / 2] * 10, [(1, 2)])
+        [[score]] = shape_scores(grid.usage, tables, [[(True, 0, 0, 0, 1.0)]])
+        assert score == pytest.approx(0.5)
 
 
 class TestFreeTracks:

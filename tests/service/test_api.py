@@ -180,6 +180,15 @@ class TestErrorSurfaces:
             assert status == 400
             assert message in body["error"]
 
+    def test_submit_with_negative_processes_is_400(self, make_service):
+        # The CLI's check: both surfaces report the same message.
+        with make_service() as (url, _app):
+            status, _, body = _raw(
+                url, "POST", "/jobs", explore_spec(processes=-1)
+            )
+            assert status == 400
+            assert body["error"] == "processes must be >= 0, got -1"
+
     def test_submit_with_bad_design_is_400_for_real_guard(self, tmp_path):
         from repro.service.app import ServiceApp, ServiceThread
 

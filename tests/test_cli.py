@@ -190,3 +190,49 @@ class TestCommands:
         payload = json.loads(metrics_json.read_text())
         assert payload["meta"]["design"] == "PRESENT"
         assert payload["metrics"]["flow.run.calls"]["value"] >= 1
+
+
+def _one_error_line(capsys, fragment: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and fragment in err
+    assert err.count("\n") == 1
+
+
+class TestSupervisionArgs:
+    EXPLORE = ["explore", "PRESENT", "--population", "4", "--generations", "1"]
+
+    @pytest.mark.parametrize(
+        "extra, fragment",
+        [
+            (["--eval-timeout", "-1"], "timeout must be > 0"),
+            (["--eval-timeout", "0"], "timeout must be > 0"),
+            (["--max-retries", "-1"], "max retries must be >= 0"),
+            (["--processes", "-1"], "processes must be >= 0"),
+        ],
+    )
+    def test_explore_rejects_bad_supervision(self, extra, fragment, capsys):
+        assert main(self.EXPLORE + extra) == 2
+        _one_error_line(capsys, fragment)
+
+    def test_attack_rejects_negative_processes(self, capsys):
+        assert main(["attack", "PRESENT", "--processes", "-1"]) == 2
+        _one_error_line(capsys, "processes must be >= 0")
+
+
+class TestServeBind:
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_out_of_range_port(self, port, tmp_path, capsys):
+        argv = ["serve", "--port", port, "--state-dir", str(tmp_path)]
+        assert main(argv) == 2
+        _one_error_line(capsys, f"cannot listen on 127.0.0.1:{port}")
+
+    def test_port_in_use(self, tmp_path, capsys):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = str(taken.getsockname()[1])
+            argv = ["serve", "--port", port, "--state-dir", str(tmp_path)]
+            assert main(argv) == 2
+        _one_error_line(capsys, "address already in use")
