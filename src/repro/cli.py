@@ -116,17 +116,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_harden_metrics(config: FlowConfig, m: dict) -> None:
-    print(f"config          : {config}")
-    print(f"security score  : {m['score']:.4f} (baseline 1.0)")
-    print(f"ER sites/tracks : {m['er_sites']} / {m['er_tracks']:.0f} "
-          f"(was {m['base_er_sites']} / {m['base_er_tracks']:.0f})")
-    print(f"TNS             : {m['tns']:.3f} ns (was {m['base_tns']:.3f})")
-    print(f"power           : {m['power']:.3f} mW (cap {m['power_cap']:.3f})")
-    print(f"#DRC            : {m['drc_count']} (cap {m['n_drc']})")
-    print(f"feasible        : {m['feasible']}")
-
-
 def cmd_harden(args: argparse.Namespace) -> int:
     d = build_design(args.design)
     config = FlowConfig(
@@ -135,27 +124,6 @@ def cmd_harden(args: argparse.Namespace) -> int:
         lda_n_iter=args.lda_iter,
         rws_scales=_parse_scales(args.rws, d.technology.num_layers),
     )
-    manager = None
-    if args.checkpoint_dir:
-        from repro.resilience.checkpoint import (
-            CheckpointManager,
-            decode_flow_config,
-            encode_flow_config,
-        )
-
-        manager = CheckpointManager(args.checkpoint_dir)
-    if manager is not None and args.resume and not args.out:
-        payload = manager.load_payload()
-        if (
-            payload is not None
-            and payload.get("kind") == "harden"
-            and payload.get("design") == args.design
-            and decode_flow_config(payload["config"]) == config
-        ):
-            print(f"resumed completed run from {manager.path} "
-                  f"(flow not re-run)")
-            _print_harden_metrics(config, payload["metrics"])
-            return 0
     guard = _build_guard(
         d,
         incremental=not args.no_incremental,
@@ -168,29 +136,16 @@ def cmd_harden(args: argparse.Namespace) -> int:
             f"{guard.invariant_violations} violations)"
         )
     base = guard.baseline_security
-    metrics = {
-        "score": result.score,
-        "er_sites": result.security.er_sites,
-        "er_tracks": result.security.er_tracks,
-        "base_er_sites": base.er_sites,
-        "base_er_tracks": base.er_tracks,
-        "tns": result.tns,
-        "base_tns": d.sta.tns,
-        "power": result.power,
-        "power_cap": guard.beta_power * guard.baseline_power,
-        "drc_count": result.drc_count,
-        "n_drc": guard.n_drc,
-        "feasible": result.feasible,
-    }
-    _print_harden_metrics(config, metrics)
-    if manager is not None:
-        manager.save_payload({
-            "kind": "harden",
-            "design": args.design,
-            "config": encode_flow_config(config),
-            "metrics": metrics,
-        })
-        print(f"checkpoint      : {manager.path}")
+    print(f"config          : {config}")
+    print(f"security score  : {result.score:.4f} (baseline 1.0)")
+    print(f"ER sites/tracks : {result.security.er_sites} / "
+          f"{result.security.er_tracks:.0f} "
+          f"(was {base.er_sites} / {base.er_tracks:.0f})")
+    print(f"TNS             : {result.tns:.3f} ns (was {d.sta.tns:.3f})")
+    print(f"power           : {result.power:.3f} mW "
+          f"(cap {guard.beta_power * guard.baseline_power:.3f})")
+    print(f"#DRC            : {result.drc_count} (cap {guard.n_drc})")
+    print(f"feasible        : {result.feasible}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -230,9 +185,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
         supervision=supervision,
     )
     result = explorer.explore()
+    manager = explorer.resumable.manager
     if result.resumed_from is not None:
         print(f"resumed from generation {result.resumed_from} "
-              f"({explorer.checkpoint_manager.path})")
+              f"({manager.path})")
     print(f"{result.evaluations} evaluations; front:")
     rows = [
         [
@@ -256,8 +212,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if res is not None and any(v for v in res.as_dict().values()):
         print("resilience      : "
               + ", ".join(f"{k}={v}" for k, v in res.as_dict().items()))
-    if explorer.checkpoint_manager is not None:
-        print(f"checkpoint      : {explorer.checkpoint_manager.path}")
+    if manager is not None:
+        print(f"checkpoint      : {manager.path}")
     return 0
 
 
@@ -364,9 +320,10 @@ def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
     )
     result = campaign.run()
     summary = result.summary()
+    manager = campaign.resumable.manager
     if result.resumed_from is not None:
         print(f"resumed from batch {result.resumed_from} "
-              f"({campaign.checkpoint_manager.path})")
+              f"({manager.path})")
     print(attack_table(
         summary,
         title=(f"Attack campaign — {args.design}, "
@@ -378,8 +335,8 @@ def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
     if any(v for v in res.values()):
         print("resilience      : "
               + ", ".join(f"{k}={v}" for k, v in res.items()))
-    if campaign.checkpoint_manager is not None:
-        print(f"checkpoint      : {campaign.checkpoint_manager.path}")
+    if manager is not None:
+        print(f"checkpoint      : {manager.path}")
     if args.json:
         Path(args.json).write_text(attack_summary_json(summary))
         print(f"wrote {args.json}")
@@ -808,10 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for DEF/GDSII/Verilog export")
     p.add_argument("--no-incremental", action="store_true",
                    help="force the full-recompute evaluation path")
-    p.add_argument("--checkpoint-dir",
-                   help="run directory for the completed-run checkpoint")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse a completed checkpoint instead of re-running")
     p.add_argument("--check-invariants", action="store_true",
                    help="paranoid mode: re-run the layout invariant lint "
                         "after every ECO operator and fail on violations")

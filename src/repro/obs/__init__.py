@@ -28,8 +28,8 @@ time — handy for profiling a CLI run without touching code.
 
 Process-parallel note: a forked GA worker inherits the enabled flag,
 the registry contents, and the trace writer's shared file description;
-:func:`worker_detach` (called from the pool initializer in
-:mod:`repro.optimize.explorer`) drops the latter two so each task can
+:func:`worker_detach` (called from the worker loop in
+:mod:`repro.resilience.supervisor`) drops the latter two so each task can
 report a clean per-worker delta, folded back into the parent registry
 with :meth:`Metrics.merge_snapshot`.
 """

@@ -14,15 +14,17 @@ Long campaigns are crash-safe: give the explorer a ``checkpoint_dir``
 and every generation boundary atomically persists the full loop state
 (population, history, RNG stream, evaluation cache, counters); with
 ``resume=True`` a restarted run continues mid-campaign and produces a
-final Pareto front bitwise identical to the uninterrupted run (see
-:mod:`repro.resilience.checkpoint` for the determinism argument).
+final Pareto front bitwise identical to the uninterrupted run.  The
+protocol itself — checkpoint, progress, interrupt and cancel at each
+boundary — is :class:`~repro.resilience.run.ResumableRun`'s; see
+:mod:`repro.resilience.checkpoint` for the determinism argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,21 +38,13 @@ from repro.optimize.nsga2 import (
     nsga2_select,
     tournament,
 )
-from repro.resilience import faults
-from repro.resilience.checkpoint import (
-    CheckpointManager,
-    ExplorationCheckpoint,
-)
-from repro.resilience.supervisor import (  # noqa: F401 - re-exported
+from repro.resilience.checkpoint import ExplorationCheckpoint, encode_front
+from repro.resilience.run import ResumableRun
+from repro.resilience.supervisor import (
     EvalTask,
     ResilienceState,
     SupervisionConfig,
-    TaskSupervisor,
-    _evaluate_config,
-    _evaluate_config_traced,
-    _init_worker,
 )
-from repro.errors import CheckpointError, ExplorationCancelled
 
 
 @dataclass
@@ -122,14 +116,11 @@ class ParetoExplorer:
         space: Optional[ParameterSpace] = None,
         config: NSGA2Config = NSGA2Config(),
         processes: int = 0,
-        incremental: Optional[bool] = None,
         checkpoint_dir: Union[str, Path, None] = None,
         resume: bool = False,
         supervision: Optional[SupervisionConfig] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        on_generation: Optional[
-            Callable[[int, List[Individual]], None]
-        ] = None,
+        progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         """
         Args:
@@ -138,11 +129,6 @@ class ParetoExplorer:
             config: GA hyper-parameters.
             processes: Worker processes for population evaluation
                 (0 = inline sequential evaluation).
-            incremental: Override the guard's evaluation mode — ``True``
-                delta-evaluates the GA inner loop, ``False`` forces the
-                full recompute (the correctness oracle); ``None`` keeps
-                the guard's current setting.  Inherited by forked workers
-                (each accrues its own per-operator incremental caches).
             checkpoint_dir: Run directory for per-generation checkpoints
                 (``None`` disables checkpointing).
             resume: Continue from ``checkpoint_dir``'s checkpoint if one
@@ -158,31 +144,31 @@ class ParetoExplorer:
                 :class:`~repro.errors.ExplorationCancelled` so callers
                 (the serving layer) can hand the checkpoint off to a
                 later resume.
-            on_generation: Progress hook called with ``(generation,
-                selected_population)`` after each generation's selection
-                (the population carries rank/crowding, so rank-0
-                feasible members are the Pareto-front-so-far).  Must not
-                mutate the individuals.
+            progress: Called once per generation, after its checkpoint
+                is durable, with ``{"generation", "generations",
+                "front_size", "front"}``; ``front`` holds the feasible
+                rank-0 members of the selected population, encoded like
+                a service result's front.
         """
         self.guard = guard
-        if incremental is not None:
-            guard.incremental = incremental
         self.space = space or ParameterSpace(
             guard.baseline.technology.num_layers
         )
         self.config = config
-        self.processes = processes
-        self.supervision = supervision or SupervisionConfig()
-        self.resilience = ResilienceState()
-        self.checkpoint_manager = (
-            CheckpointManager(checkpoint_dir)
-            if checkpoint_dir is not None
-            else None
+        self._nsga2 = asdict(config)
+        self.resumable = ResumableRun(
+            ExplorationCheckpoint,
+            {**self._nsga2, "num_layers": self.space.num_layers},
+            name="explorer",
+            unit="generation",
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            processes=processes,
+            supervision=supervision,
+            should_stop=should_stop,
+            progress=progress,
         )
-        self.resume = resume
-        self.should_stop = should_stop
-        self.on_generation = on_generation
-        self.resumed_from: Optional[int] = None
+        self.resilience = self.resumable.resilience
         self._cache: Dict[tuple, Tuple[tuple, float]] = {}
         self.evaluations = 0
         self.cache_requests = 0
@@ -223,40 +209,28 @@ class ParetoExplorer:
         self.cache_requests += len(configs)
         self.cache_hits += hits
         if missing:
-            workers = min(self.processes, len(missing)) if self.processes else 0
-            with obs.timed(
-                "explorer.eval_batch", size=len(missing), workers=workers
-            ):
-                tasks = [
-                    EvalTask(
-                        index=i,
-                        config=cfg,
-                        generation=generation,
-                        individual=i,
-                    )
-                    for i, cfg in enumerate(missing)
-                ]
-                supervisor = TaskSupervisor(
-                    self.guard,
-                    workers=workers,
-                    config=self.supervision,
-                    state=self.resilience,
+            tasks = [
+                EvalTask(
+                    index=i, config=cfg, generation=generation, individual=i
                 )
-                results = supervisor.run(tasks)
+                for i, cfg in enumerate(missing)
+            ]
+            results = self.resumable.batch(
+                self.guard, tasks, "explorer.eval_batch"
+            )
             for cfg, objectives, violation in results:
                 self._cache[self._cache_key(cfg)] = (objectives, violation)
             self.evaluations += len(missing)
+            processes = self.resumable.processes
             if obs.is_enabled():
                 obs.count("explorer.evaluations", len(missing))
-                if self.processes:
+                if processes:
                     # Fraction of the configured pool this batch kept busy
                     # (duplicate pruning shrinks batches below pool size).
                     obs.observe(
                         "explorer.worker_utilization",
                         len(missing)
-                        / (self.processes * max(
-                            1, -(-len(missing) // self.processes)
-                        )),
+                        / (processes * max(1, -(-len(missing) // processes))),
                     )
         if obs.is_enabled():
             obs.count("explorer.cache_requests", len(configs))
@@ -286,22 +260,7 @@ class ParetoExplorer:
             pop.append(self.space.random(rng))
         return pop[:n]
 
-    # ------------------------------------------------------------------ #
-    # checkpoint / resume
-    # ------------------------------------------------------------------ #
-
-    def _nsga2_identity(self) -> dict:
-        c = self.config
-        return {
-            "population_size": c.population_size,
-            "generations": c.generations,
-            "crossover_rate": c.crossover_rate,
-            "mutation_rate": c.mutation_rate,
-            "stall_generations": c.stall_generations,
-            "seed": c.seed,
-        }
-
-    def _write_checkpoint(
+    def _boundary(
         self,
         generation: int,
         population: List[Individual],
@@ -310,64 +269,31 @@ class ParetoExplorer:
         stall: int,
         best_proxy: float,
     ) -> None:
-        if self.checkpoint_manager is None:
-            return
-        ckpt = ExplorationCheckpoint(
-            generation=generation,
-            population=population,
-            history=history,
-            rng_state=rng.bit_generator.state,
-            eval_cache=self._cache,
-            evaluations=self.evaluations,
-            cache_requests=self.cache_requests,
-            cache_hits=self.cache_hits,
-            stall=stall,
-            best_proxy=best_proxy,
-            nsga2=self._nsga2_identity(),
-            num_layers=self.space.num_layers,
-            obs_snapshot=(
-                obs.get_metrics().snapshot() if obs.is_enabled() else None
+        """Close a generation: checkpoint, progress, interrupt, cancel."""
+        front = [i for i in population if i.rank == 0 and i.feasible]
+        self.resumable.boundary(
+            generation,
+            ExplorationCheckpoint(
+                generation=generation,
+                population=population,
+                history=history,
+                rng_state=rng.bit_generator.state,
+                eval_cache=self._cache,
+                evaluations=self.evaluations,
+                cache_requests=self.cache_requests,
+                cache_hits=self.cache_hits,
+                stall=stall,
+                best_proxy=best_proxy,
+                nsga2=self._nsga2,
+                num_layers=self.space.num_layers,
             ),
+            {
+                "generation": generation,
+                "generations": self.config.generations,
+                "front_size": len(front),
+                "front": encode_front(front),
+            },
         )
-        with obs.timed("explorer.checkpoint", generation=generation):
-            ckpt.save(self.checkpoint_manager)
-
-    def _load_resume_state(self) -> Optional[ExplorationCheckpoint]:
-        if not (self.resume and self.checkpoint_manager is not None):
-            return None
-        ckpt = ExplorationCheckpoint.load(self.checkpoint_manager)
-        if ckpt is None:
-            return None
-        mine = self._nsga2_identity()
-        if ckpt.nsga2 != mine or ckpt.num_layers != self.space.num_layers:
-            diffs = sorted(
-                k for k in set(mine) | set(ckpt.nsga2)
-                if mine.get(k) != ckpt.nsga2.get(k)
-            )
-            raise CheckpointError(
-                f"checkpoint {self.checkpoint_manager.path} was written "
-                f"with different settings (differing: "
-                f"{', '.join(diffs) or 'num_layers'}); rerun with the "
-                f"original GA parameters or start a fresh run directory"
-            )
-        return ckpt
-
-    def _restore(self, ckpt: ExplorationCheckpoint, rng: np.random.Generator):
-        rng.bit_generator.state = ckpt.rng_state
-        self._cache.update(ckpt.eval_cache)
-        self.evaluations = ckpt.evaluations
-        self.cache_requests = ckpt.cache_requests
-        self.cache_hits = ckpt.cache_hits
-        self.resumed_from = ckpt.generation
-        if (
-            ckpt.obs_snapshot
-            and obs.is_enabled()
-            and not obs.get_metrics().names()
-        ):
-            # a fresh process resuming a profiled run: fold the pre-crash
-            # counters back in so profile tables cover the whole campaign
-            obs.get_metrics().merge_snapshot(ckpt.obs_snapshot)
-        return ckpt.population, ckpt.history, ckpt.stall, ckpt.best_proxy
 
     # ------------------------------------------------------------------ #
 
@@ -380,9 +306,15 @@ class ParetoExplorer:
         best_proxy = float("inf")
         start_gen = 0
 
-        ckpt = self._load_resume_state()
+        ckpt = self.resumable.restore()
         if ckpt is not None:
-            population, history, stall, best_proxy = self._restore(ckpt, rng)
+            rng.bit_generator.state = ckpt.rng_state
+            self._cache.update(ckpt.eval_cache)
+            self.evaluations = ckpt.evaluations
+            self.cache_requests = ckpt.cache_requests
+            self.cache_hits = ckpt.cache_hits
+            population, history = ckpt.population, ckpt.history
+            stall, best_proxy = ckpt.stall, ckpt.best_proxy
             start_gen = ckpt.generation
 
         with obs.timed("explorer.explore"):
@@ -400,14 +332,7 @@ class ParetoExplorer:
                     self._generation_stats(0)
                 stall = 0
                 best_proxy = self._front_proxy(population)
-                if self.on_generation is not None:
-                    self.on_generation(0, population)
-                self._write_checkpoint(
-                    0, population, history, rng, stall, best_proxy
-                )
-                faults.maybe_interrupt(0)
-                if self.should_stop is not None and self.should_stop():
-                    raise ExplorationCancelled(0)
+                self._boundary(0, population, history, rng, stall, best_proxy)
 
             for gen in range(start_gen + 1, self.config.generations + 1):
                 if stall >= self.config.stall_generations:
@@ -445,14 +370,9 @@ class ParetoExplorer:
                 else:
                     best_proxy = proxy
                     stall = 0
-                if self.on_generation is not None:
-                    self.on_generation(gen, population)
-                self._write_checkpoint(
+                self._boundary(
                     gen, population, history, rng, stall, best_proxy
                 )
-                faults.maybe_interrupt(gen)
-                if self.should_stop is not None and self.should_stop():
-                    raise ExplorationCancelled(gen)
 
         fronts = fast_non_dominated_sort(population)
         pareto = [i for i in fronts[0] if i.feasible] if fronts else []
@@ -463,7 +383,7 @@ class ParetoExplorer:
             evaluations=self.evaluations,
             cache_requests=self.cache_requests,
             cache_hits=self.cache_hits,
-            resumed_from=self.resumed_from,
+            resumed_from=None if ckpt is None else ckpt.generation,
             resilience=self.resilience,
         )
 

@@ -10,13 +10,15 @@ point on an exploration Pareto front — and reporting per-spec attack
 success rates, attempts-to-first-insertion, and the slack/DRC impact of
 successful implants.
 
-Campaigns inherit the repository's resilience contract wholesale: the
-attempts of a batch run on the supervised worker pool (per-attempt crash
-isolation and timeouts), every batch boundary writes an atomic
-checkpoint through :mod:`repro.resilience.checkpoint`, and a SIGKILLed
-campaign resumed from its run directory finishes **bitwise identical**
-to the uninterrupted run — the same determinism model the explorer
-carries, enforced by the differential suite in ``tests/redteam``.
+Campaigns run on the explorer's resume protocol,
+:class:`~repro.resilience.run.ResumableRun`: the attempts of a batch run
+on the supervised worker pool (per-attempt crash isolation and
+timeouts), every batch boundary writes an atomic checkpoint before its
+progress event, and a SIGKILLed campaign resumed from its run directory
+finishes **bitwise identical** to the uninterrupted run, supervision
+counters included — enforced for both run kinds by
+``tests/resilience/test_resumable_run.py`` and by the differential suite
+in ``tests/redteam``.
 """
 
 from repro.redteam.campaign import (

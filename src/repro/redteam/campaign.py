@@ -2,12 +2,11 @@
 
 A campaign is a flat sequence of **batches**: one batch per
 ``(target, grid point)`` pair, holding ``attempts`` seeded insertion
-attempts evaluated under the supervised worker pool.  After every batch
-the full campaign state is checkpointed atomically; the cooperative
-cancellation probe and the chaos layer's interrupt injection both fire
-at the batch boundary, exactly mirroring the explorer's generation
-boundary — so the service scheduler's cancel/drain/retry machinery works
-on attack jobs unchanged.
+attempts evaluated under the supervised worker pool.  Every batch ends
+at a boundary of the same :class:`~repro.resilience.run.ResumableRun`
+protocol the explorer's generations use — atomic checkpoint, progress
+event, interrupt injection, cancellation probe — so the service
+scheduler's cancel/drain/retry machinery works on attack jobs unchanged.
 
 Determinism model (enforced by ``tests/redteam``):
 
@@ -30,17 +29,15 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.errors import CheckpointError, ExplorationCancelled, SecurityError
+from repro.errors import SecurityError
 from repro.redteam.checkpoint import CampaignCheckpoint
 from repro.redteam.grid import AttackGrid
 from repro.redteam.surface import AttackAttempt
-from repro.resilience import faults
-from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.run import ResumableRun
 from repro.resilience.supervisor import (
     EvalTask,
     ResilienceState,
     SupervisionConfig,
-    TaskSupervisor,
 )
 
 __all__ = [
@@ -166,7 +163,7 @@ class AttackCampaign:
         resume: bool = False,
         supervision: Optional[SupervisionConfig] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        on_batch: Optional[Callable[[int, int, dict], None]] = None,
+        progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         """
         Args:
@@ -188,8 +185,11 @@ class AttackCampaign:
                 batch boundary after that batch's checkpoint is durable;
                 returning ``True`` raises
                 :class:`~repro.errors.ExplorationCancelled`.
-            on_batch: Progress hook ``(batch, total_batches, row)``
-                called after each batch with its aggregate row.
+            progress: Called once per batch, after its checkpoint is
+                durable, with ``{"generation", "generations", "target",
+                "spec_id", "successes", "attempts"}``; ``generation``
+                counts completed batches, so a finished campaign reads
+                N of N.
         """
         if attempts < 1:
             raise SecurityError("a campaign needs at least one attempt")
@@ -202,105 +202,24 @@ class AttackCampaign:
         self.grid = grid
         self.attempts = attempts
         self.seed = seed
-        self.processes = processes
-        self.supervision = supervision or SupervisionConfig()
-        self.resilience = ResilienceState()
-        self.checkpoint_manager = (
-            CheckpointManager(checkpoint_dir)
-            if checkpoint_dir is not None
-            else None
+        self.resumable = ResumableRun(
+            CampaignCheckpoint,
+            {
+                "seed": seed,
+                "attempts": attempts,
+                "grid": grid.to_payload(),
+                "targets": ids,
+            },
+            name="redteam",
+            unit="batch",
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            processes=processes,
+            supervision=supervision,
+            should_stop=should_stop,
+            progress=progress,
         )
-        self.resume = resume
-        self.should_stop = should_stop
-        self.on_batch = on_batch
-        self.resumed_from: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    # checkpoint / resume
-    # ------------------------------------------------------------------ #
-
-    def _identity(self) -> dict:
-        return {
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "grid": self.grid.to_payload(),
-            "targets": [t for t, _ in self.targets],
-        }
-
-    def _write_checkpoint(
-        self, batch: int, outcomes: Dict[str, Dict[str, List[dict]]]
-    ) -> None:
-        if self.checkpoint_manager is None:
-            return
-        ckpt = CampaignCheckpoint(
-            batch=batch,
-            identity=self._identity(),
-            outcomes=outcomes,
-            resilience=self.resilience.as_dict(),
-            obs_snapshot=(
-                obs.get_metrics().snapshot() if obs.is_enabled() else None
-            ),
-        )
-        with obs.timed("redteam.checkpoint", batch=batch):
-            ckpt.save(self.checkpoint_manager)
-        obs.count("redteam.checkpoints")
-
-    def _load_resume_state(self) -> Optional[CampaignCheckpoint]:
-        if not (self.resume and self.checkpoint_manager is not None):
-            return None
-        ckpt = CampaignCheckpoint.load(self.checkpoint_manager)
-        if ckpt is None:
-            return None
-        mine = self._identity()
-        if ckpt.identity != mine:
-            diffs = sorted(
-                k for k in set(mine) | set(ckpt.identity)
-                if mine.get(k) != ckpt.identity.get(k)
-            )
-            raise CheckpointError(
-                f"campaign checkpoint {self.checkpoint_manager.path} was "
-                f"written with a different campaign (differing: "
-                f"{', '.join(diffs)}); rerun with the original settings "
-                f"or start a fresh run directory"
-            )
-        problem = self._coverage_problem(ckpt)
-        if problem is not None:
-            raise CheckpointError(
-                f"malformed campaign checkpoint "
-                f"{self.checkpoint_manager.path} ({problem}); delete it "
-                f"or restart without --resume"
-            )
-        return ckpt
-
-    def _coverage_problem(self, ckpt: CampaignCheckpoint) -> Optional[str]:
-        """Why ``ckpt``'s outcomes do not cover its completed batches."""
-        specs = [p.spec_id for p in self.grid.points]
-        total = len(self.targets) * len(specs)
-        if not 0 <= ckpt.batch < total:
-            return f"batch {ckpt.batch} outside 0..{total - 1}"
-        for batch in range(ckpt.batch + 1):
-            ti, pi = divmod(batch, len(specs))
-            target_id = self.targets[ti][0]
-            rows = ckpt.outcomes.get(target_id, {}).get(specs[pi])
-            if rows is None or len(rows) != self.attempts:
-                return (
-                    f"batch {batch} ({target_id}/{specs[pi]}) lacks its "
-                    f"{self.attempts} outcomes"
-                )
-        return None
-
-    def _restore(self, ckpt: CampaignCheckpoint) -> None:
-        for name, value in ckpt.resilience.items():
-            setattr(self.resilience, name, value)
-        self.resumed_from = ckpt.batch
-        if (
-            ckpt.obs_snapshot
-            and obs.is_enabled()
-            and not obs.get_metrics().names()
-        ):
-            obs.get_metrics().merge_snapshot(ckpt.obs_snapshot)
-
-    # ------------------------------------------------------------------ #
+        self.resilience = self.resumable.resilience
 
     def _run_batch(self, batch: int, target_id: str, surface: Any,
                    spec_id: str) -> List[dict]:
@@ -323,31 +242,19 @@ class AttackCampaign:
             )
             for k in range(self.attempts)
         ]
-        workers = (
-            min(self.processes, self.attempts) if self.processes else 0
+        results = self.resumable.batch(
+            surface, tasks, "redteam.batch", target=target_id, spec=spec_id
         )
-        supervisor = TaskSupervisor(
-            surface,
-            workers=workers,
-            config=self.supervision,
-            state=self.resilience,
-        )
-        with obs.timed(
-            "redteam.batch", target=target_id, spec=spec_id,
-            size=self.attempts, workers=workers,
-        ):
-            results = supervisor.run(tasks)
         return [outcome for _, outcome, _ in results]
 
     def run(self) -> CampaignResult:
         """Run (or resume) the campaign; returns the campaign result."""
         outcomes: Dict[str, Dict[str, List[dict]]] = {}
         start_batch = 0
-        ckpt = self._load_resume_state()
+        ckpt = self.resumable.restore()
         if ckpt is not None:
             outcomes = ckpt.outcomes
             start_batch = ckpt.batch + 1
-            self._restore(ckpt)
 
         total = len(self.targets) * len(self.grid.points)
         with obs.timed("redteam.campaign"):
@@ -359,25 +266,27 @@ class AttackCampaign:
                     batch, target_id, surface, point.spec_id
                 )
                 outcomes.setdefault(target_id, {})[point.spec_id] = rows
+                successes = sum(1 for r in rows if r["success"])
                 if obs.is_enabled():
                     obs.count("redteam.batches")
                     obs.count("redteam.attempts", len(rows))
-                    obs.count(
-                        "redteam.successes",
-                        sum(1 for r in rows if r["success"]),
-                    )
-                self._write_checkpoint(batch, outcomes)
-                if self.on_batch is not None:
-                    self.on_batch(
-                        batch,
-                        total,
-                        _aggregate(
-                            target_id, point.spec_id, self.attempts, rows
-                        ),
-                    )
-                faults.maybe_interrupt(batch)
-                if self.should_stop is not None and self.should_stop():
-                    raise ExplorationCancelled(batch)
+                    obs.count("redteam.successes", successes)
+                self.resumable.boundary(
+                    batch,
+                    CampaignCheckpoint(
+                        batch=batch,
+                        identity=self.resumable.identity,
+                        outcomes=outcomes,
+                    ),
+                    {
+                        "generation": batch + 1,
+                        "generations": total,
+                        "target": target_id,
+                        "spec_id": point.spec_id,
+                        "successes": successes,
+                        "attempts": self.attempts,
+                    },
+                )
 
         return CampaignResult(
             seed=self.seed,
@@ -385,6 +294,6 @@ class AttackCampaign:
             grid=self.grid,
             targets=tuple(t for t, _ in self.targets),
             outcomes=outcomes,
-            resumed_from=self.resumed_from,
+            resumed_from=None if ckpt is None else ckpt.batch,
             resilience=self.resilience,
         )

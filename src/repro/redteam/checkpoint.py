@@ -9,25 +9,23 @@ so a campaign checkpointed under ``--processes 4`` may resume under
 finish bitwise identical — the same argument the explorer's checkpoint
 makes for GA state.
 
-Durability rides on :class:`~repro.resilience.checkpoint.CheckpointManager`
-(temp file + fsync + atomic replace, ``schema_version`` gate), so a
-SIGKILL mid-write leaves the previous checkpoint intact.
+Writing, identity guarding and restoring belong to
+:class:`~repro.resilience.run.ResumableRun`; durability rides on
+:class:`~repro.resilience.checkpoint.CheckpointManager` (temp file +
+fsync + atomic replace, ``schema_version`` gate), so a SIGKILL mid-write
+leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CheckpointError
-from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.supervisor import ResilienceState
+from repro.resilience.checkpoint import CheckpointManager, decode_resilience
 
 __all__ = ["CampaignCheckpoint"]
-
-#: Supervision counters a checkpoint carries, with their types.
-_RESILIENCE_FIELDS = {f.name: type(f.default) for f in fields(ResilienceState)}
 
 #: Outcome fields the campaign summary reads from every row.
 _OUTCOME_FIELDS = ("attempt", "success", "region_sites")
@@ -86,8 +84,7 @@ class CampaignCheckpoint:
                 f"at the matching run directory"
             )
         try:
-            resilience = payload.get("resilience") or {}
-            return cls(
+            ckpt = cls(
                 batch=int(payload["batch"]),
                 identity=dict(payload["identity"]),
                 outcomes={
@@ -97,18 +94,36 @@ class CampaignCheckpoint:
                     }
                     for target, specs in payload["outcomes"].items()
                 },
-                resilience={
-                    key: kind(resilience[key])
-                    for key, kind in _RESILIENCE_FIELDS.items()
-                    if key in resilience
-                },
+                resilience=decode_resilience(payload),
                 obs_snapshot=payload.get("obs"),
             )
+            problem = ckpt._coverage_problem()
+            if problem is not None:
+                raise ValueError(problem)
+            return ckpt
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(
                 f"malformed campaign checkpoint ({exc}); delete it or "
                 f"restart without --resume"
             ) from exc
+
+    def _coverage_problem(self) -> Optional[str]:
+        """Why the outcomes do not cover the completed batches."""
+        specs = [point["spec_id"] for point in self.identity["grid"]["points"]]
+        targets = self.identity["targets"]
+        attempts = self.identity["attempts"]
+        total = len(targets) * len(specs)
+        if not 0 <= self.batch < total:
+            return f"batch {self.batch} outside 0..{total - 1}"
+        for batch in range(self.batch + 1):
+            ti, pi = divmod(batch, len(specs))
+            rows = self.outcomes.get(targets[ti], {}).get(specs[pi])
+            if rows is None or len(rows) != attempts:
+                return (
+                    f"batch {batch} ({targets[ti]}/{specs[pi]}) lacks its "
+                    f"{attempts} outcomes"
+                )
+        return None
 
     # ------------------------------------------------------------------ #
 

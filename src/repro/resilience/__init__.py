@@ -1,20 +1,23 @@
-"""``repro.resilience`` — crash-safe execution for long exploration runs.
+"""``repro.resilience`` — crash-safe execution for long runs.
 
-Three cooperating pieces:
+Four cooperating pieces:
 
+* :mod:`repro.resilience.run` — :class:`ResumableRun`, the one resume
+  protocol (checkpoint, progress, interrupt and cancel at every
+  boundary) of the NSGA-II explorer and the red-team campaign.
 * :mod:`repro.resilience.checkpoint` — versioned, atomically-written
-  generation checkpoints for the NSGA-II loop (population, Pareto state,
-  RNG state, evaluation cache, counters) so an interrupted campaign can
-  resume and reproduce the uninterrupted run bitwise.
+  checkpoints and the explorer's state codec (population, Pareto state,
+  RNG state, evaluation cache, counters) so an interrupted exploration
+  resumes and reproduces the uninterrupted run bitwise.
 * :mod:`repro.resilience.supervisor` — a supervised task queue replacing
   the bare ``multiprocessing.Pool``: per-evaluation timeouts, bounded
   retry with backoff, crash isolation (a dead worker requeues its task),
   and graceful degradation to in-process serial evaluation after
   repeated failures — all surfaced via ``resilience.*`` obs counters.
 * :mod:`repro.resilience.faults` — deterministic fault injection (worker
-  crashes, hangs, transient evaluator exceptions, interrupts at
-  generation boundaries) at chosen ``(generation, individual)``
-  coordinates, for the chaos test suite and scripted benchmarks.
+  crashes, hangs, transient evaluator exceptions, interrupts at run
+  boundaries) at chosen ``(generation, individual)`` coordinates, for
+  the chaos test suite and scripted benchmarks.
 """
 
 import importlib
@@ -28,6 +31,7 @@ __all__ = [
     "FaultSpec",
     "EvalTask",
     "ResilienceState",
+    "ResumableRun",
     "SupervisionConfig",
     "TaskSupervisor",
 ]
@@ -46,6 +50,7 @@ _EXPORTS = {
     "FaultSpec": "faults",
     "EvalTask": "supervisor",
     "ResilienceState": "supervisor",
+    "ResumableRun": "run",
     "SupervisionConfig": "supervisor",
     "TaskSupervisor": "supervisor",
 }

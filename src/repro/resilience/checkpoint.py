@@ -12,7 +12,8 @@ mid-campaign and still produce a bitwise-identical final Pareto front:
   run never re-pays for an already-evaluated chromosome and reproduces
   identical objective floats by construction),
 * the explorer counters and the stall/convergence-proxy state,
-* optionally an obs metrics snapshot for post-mortem profiling.
+* the supervision counters and optionally an obs metrics snapshot
+  (both written and restored by :class:`~repro.resilience.run.ResumableRun`).
 
 Durability: checkpoints are written to a temp file in the run directory,
 fsync'd, then ``os.replace``'d over ``checkpoint.json`` — a crash during
@@ -32,15 +33,16 @@ import itertools
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.params import FlowConfig
 from repro.errors import CheckpointError
 from repro.optimize.nsga2 import Individual
+from repro.resilience.supervisor import ResilienceState
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -48,12 +50,14 @@ __all__ = [
     "CheckpointManager",
     "ExplorationCheckpoint",
     "atomic_write_text",
+    "decode_resilience",
     "encode_flow_config",
+    "encode_front",
     "decode_flow_config",
     "probe_writable",
 ]
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 CHECKPOINT_FILENAME = "checkpoint.json"
 
 #: Per-process sequence for tmp-file names: combined with pid and
@@ -195,9 +199,26 @@ def _encode_individual(ind: Individual) -> dict:
         "genome": _encode_config(ind.genome),
         "objectives": list(ind.objectives),
         "violation": ind.violation,
-        "rank": ind.rank,
-        "crowding": ind.crowding,
     }
+
+
+def _front_sort_key(entry: dict) -> tuple:
+    g = entry["genome"]
+    return (
+        entry["objectives"],
+        entry["violation"],
+        g["op_select"],
+        g["lda_n"],
+        g["lda_n_iter"],
+        g["rws_scales"],
+    )
+
+
+def encode_front(individuals: List[Individual]) -> List[dict]:
+    """Order-independent, bitwise-comparable Pareto-front encoding."""
+    entries = [_encode_individual(i) for i in individuals]
+    entries.sort(key=_front_sort_key)
+    return entries
 
 
 def _decode_individual(payload: dict) -> Individual:
@@ -216,10 +237,23 @@ def _decode_individual(payload: dict) -> Individual:
     return ind
 
 
-#: Public names for the genome codec (the CLI's harden checkpoint and
-#: external tooling use these).
+#: Public names for the genome codec (the service, the CLI's ``--front``
+#: and external tooling use these).
 encode_flow_config = _encode_config
 decode_flow_config = _decode_config
+
+#: Supervision counters a checkpoint carries, with their types.
+_RESILIENCE_FIELDS = {f.name: type(f.default) for f in fields(ResilienceState)}
+
+
+def decode_resilience(payload: dict) -> Dict[str, Any]:
+    """The supervision counters of a checkpoint payload, type-checked."""
+    counters = payload.get("resilience") or {}
+    return {
+        key: kind(counters[key])
+        for key, kind in _RESILIENCE_FIELDS.items()
+        if key in counters
+    }
 
 
 @dataclass
@@ -235,8 +269,10 @@ class ExplorationCheckpoint:
         evaluations / cache_requests / cache_hits: Explorer counters.
         stall: Consecutive generations without proxy improvement.
         best_proxy: Best convergence-proxy value so far.
-        nsga2: GA hyper-parameter identity (resume-mismatch guard).
+        nsga2: GA hyper-parameters (with ``num_layers``, the identity a
+            resume must match).
         num_layers: RWS gene count of the parameter space.
+        resilience: Supervision counters accumulated so far.
         obs_snapshot: Optional obs metrics snapshot for post-mortem.
     """
 
@@ -252,15 +288,25 @@ class ExplorationCheckpoint:
     best_proxy: float
     nsga2: dict
     num_layers: int
+    resilience: Dict[str, Any] = field(default_factory=dict)
     obs_snapshot: Optional[dict] = field(default=None)
 
     KIND = "exploration"
+
+    @property
+    def identity(self) -> dict:
+        """The settings a resumed run must share with this checkpoint."""
+        return {**self.nsga2, "num_layers": self.num_layers}
 
     def to_payload(self) -> dict:
         return {
             "kind": self.KIND,
             "generation": self.generation,
-            "population": [_encode_individual(i) for i in self.population],
+            "population": [
+                {**_encode_individual(i), "rank": i.rank,
+                 "crowding": i.crowding}
+                for i in self.population
+            ],
             "history": [
                 [[list(objectives), violation]
                  for objectives, violation in gen]
@@ -282,6 +328,7 @@ class ExplorationCheckpoint:
             "search": {"stall": self.stall, "best_proxy": self.best_proxy},
             "nsga2": dict(self.nsga2),
             "space": {"num_layers": self.num_layers},
+            "resilience": dict(self.resilience),
             "obs": self.obs_snapshot,
         }
 
@@ -330,6 +377,7 @@ class ExplorationCheckpoint:
                 best_proxy=float(payload["search"]["best_proxy"]),
                 nsga2=nsga2,
                 num_layers=int(payload["space"]["num_layers"]),
+                resilience=decode_resilience(payload),
                 obs_snapshot=payload.get("obs"),
             )
         except (

@@ -23,10 +23,10 @@ Kinds:
 * ``"flow-error"`` — an :class:`InjectedFault` raised *inside*
   :meth:`repro.core.flow.GDSIIGuard.run`, mid-evaluation (models an
   evaluator crash that may leave incremental caches half-built).
-* ``"interrupt"`` — raised by the explorer right after the generation's
-  checkpoint is written (``individual`` is ignored); simulates the
-  process being killed between generations so resume tests can
-  interrupt at every boundary.
+* ``"interrupt"`` — raised at a run boundary (an explorer generation or
+  a campaign batch) right after its checkpoint and progress event
+  (``individual`` is ignored); simulates the process being killed
+  between boundaries so resume tests can interrupt at every one.
 
 Activation: programmatically via :func:`install` / :func:`clear`, or
 from the environment — ``REPRO_FAULTS=/path/to/plan.json`` installs a
@@ -277,8 +277,9 @@ def maybe_flow_fault() -> None:
 
 
 def maybe_interrupt(generation: int) -> None:
-    """Fire an ``interrupt`` fault at a generation boundary (explorer
-    hook, called right after the generation's checkpoint is written)."""
+    """Fire an ``interrupt`` fault at a run boundary (called by
+    :meth:`~repro.resilience.run.ResumableRun.boundary` right after the
+    boundary's checkpoint and progress event)."""
     if _PLAN is None:
         return
     spec = _PLAN.interrupt_at(generation)

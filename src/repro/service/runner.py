@@ -24,12 +24,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.params import FlowConfig, ParameterSpace
 from repro.errors import ServiceError
 from repro.optimize.explorer import ParetoExplorer
-from repro.optimize.nsga2 import Individual, NSGA2Config
+from repro.optimize.nsga2 import NSGA2Config
 from repro.redteam.campaign import AttackCampaign
 from repro.redteam.grid import AttackGrid
 from repro.resilience.checkpoint import (
     decode_flow_config,
     encode_flow_config,
+    encode_front,
 )
 from repro.resilience.supervisor import SupervisionConfig
 from repro.service.cache import SharedEvalCache
@@ -38,7 +39,6 @@ from repro.service.jobs import JobSpec
 __all__ = [
     "GuardHandle",
     "DesignGuardFactory",
-    "encode_front",
     "run_explore_job",
     "run_harden_job",
     "run_attack_job",
@@ -144,38 +144,6 @@ class DesignGuardFactory:
 
 
 # ---------------------------------------------------------------------- #
-# result encoding
-# ---------------------------------------------------------------------- #
-
-
-def _encode_individual(ind: Individual) -> dict:
-    return {
-        "genome": encode_flow_config(ind.genome),
-        "objectives": list(ind.objectives),
-        "violation": ind.violation,
-    }
-
-
-def _front_sort_key(entry: dict) -> tuple:
-    g = entry["genome"]
-    return (
-        entry["objectives"],
-        entry["violation"],
-        g["op_select"],
-        g["lda_n"],
-        g["lda_n_iter"],
-        g["rws_scales"],
-    )
-
-
-def encode_front(individuals: List[Individual]) -> List[dict]:
-    """Order-independent, bitwise-comparable Pareto-front encoding."""
-    entries = [_encode_individual(i) for i in individuals]
-    entries.sort(key=_front_sort_key)
-    return entries
-
-
-# ---------------------------------------------------------------------- #
 # job execution
 # ---------------------------------------------------------------------- #
 
@@ -196,20 +164,6 @@ def run_explore_job(
     ``checkpoint_dir`` is durable by then, so the scheduler can hand it
     to a later resume.
     """
-
-    def on_generation(generation: int, population: List[Individual]) -> None:
-        if progress is None:
-            return
-        front = [i for i in population if i.rank == 0 and i.feasible]
-        progress(
-            {
-                "generation": generation,
-                "generations": spec.generations,
-                "front_size": len(front),
-                "front": encode_front(front),
-            }
-        )
-
     explorer = ParetoExplorer(
         handle.guard,
         space=ParameterSpace(handle.num_layers),
@@ -221,9 +175,9 @@ def run_explore_job(
         processes=spec.processes,
         checkpoint_dir=checkpoint_dir,
         resume=spec.resume,
-        supervision=supervision or SupervisionConfig(),
+        supervision=supervision,
         should_stop=(stop_event.is_set if stop_event is not None else None),
-        on_generation=on_generation,
+        progress=progress,
     )
     if shared_cache is not None:
         # Pre-warm: memoized values equal what an evaluation would
@@ -236,7 +190,6 @@ def run_explore_job(
     finally:
         if shared_cache is not None:
             shared_cache.absorb(handle.design_key, explorer._cache)
-    res = result.resilience.as_dict() if result.resilience else {}
     return {
         "kind": "explore",
         "design": spec.design,
@@ -248,7 +201,7 @@ def run_explore_job(
         "cache_requests": result.cache_requests,
         "cache_hits": result.cache_hits,
         "resumed_from": result.resumed_from,
-        "resilience": res,
+        "resilience": result.resilience.as_dict(),
     }
 
 
@@ -292,22 +245,6 @@ def run_attack_job(
     ``stop_event`` fires at a batch boundary, so cancel, drain, retry,
     and ``resume_from`` handoff all behave exactly as for explore jobs.
     """
-
-    def on_batch(batch: int, total: int, row: Dict[str, Any]) -> None:
-        if progress is None:
-            return
-        progress(
-            {
-                # completed-batch count, so a finished campaign reads N/N
-                "generation": batch + 1,
-                "generations": total,
-                "target": row["target"],
-                "spec_id": row["spec_id"],
-                "successes": row["successes"],
-                "attempts": row["attempts"],
-            }
-        )
-
     campaign = AttackCampaign(
         targets,
         AttackGrid.preset(spec.grid),
@@ -316,12 +253,11 @@ def run_attack_job(
         processes=spec.processes,
         checkpoint_dir=checkpoint_dir,
         resume=spec.resume,
-        supervision=supervision or SupervisionConfig(),
+        supervision=supervision,
         should_stop=(stop_event.is_set if stop_event is not None else None),
-        on_batch=on_batch,
+        progress=progress,
     )
     result = campaign.run()
-    res = result.resilience.as_dict() if result.resilience else {}
     return {
         "kind": "attack",
         "design": spec.design,
@@ -330,5 +266,5 @@ def run_attack_job(
         "attempts": spec.attempts,
         "summary": result.summary(),
         "resumed_from": result.resumed_from,
-        "resilience": res,
+        "resilience": result.resilience.as_dict(),
     }

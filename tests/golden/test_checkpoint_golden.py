@@ -1,9 +1,9 @@
 """Golden-file pin of the exploration checkpoint format.
 
-The checked-in ``checkpoint_tiny.json`` freezes schema version 1; any
-change to the on-disk layout shows up as a readable JSON diff and forces
-a deliberate refresh (``pytest --update-goldens``) plus a schema-version
-bump decision.
+The checked-in ``checkpoint_tiny.json`` freezes the current schema
+version; any change to the on-disk layout shows up as a readable JSON
+diff and forces a deliberate refresh (``pytest --update-goldens``) plus
+a schema-version bump decision.
 """
 
 from __future__ import annotations
@@ -77,6 +77,13 @@ def tiny_checkpoint() -> ExplorationCheckpoint:
             "seed": 9,
         },
         num_layers=3,
+        resilience={
+            "retries": 1,
+            "worker_deaths": 0,
+            "timeouts": 0,
+            "task_failures": 1,
+            "degraded": False,
+        },
     )
 
 

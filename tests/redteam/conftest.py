@@ -70,7 +70,7 @@ def make_campaign(fake_targets, fake_grid):
         grid=None,
         supervision=None,
         should_stop=None,
-        on_batch=None,
+        progress=None,
     ):
         return AttackCampaign(
             targets if targets is not None else fake_targets,
@@ -82,7 +82,7 @@ def make_campaign(fake_targets, fake_grid):
             resume=resume,
             supervision=supervision or FAST_SUPERVISION,
             should_stop=should_stop,
-            on_batch=on_batch,
+            progress=progress,
         )
 
     return factory

@@ -123,15 +123,17 @@ class TestCampaignRun:
 
     def test_on_batch_progress(self, make_campaign, fake_grid):
         seen = []
-        make_campaign(
-            on_batch=lambda batch, total, row: seen.append(
-                (batch, total, row["target"], row["spec_id"])
-            )
-        ).run()
-        assert [s[0] for s in seen] == list(range(4))
-        assert all(s[1] == 4 for s in seen)
-        assert seen[0][2:] == ("baseline", "a2-er20-first")
-        assert seen[-1][2:] == ("hardened", "lean-er12-random")
+        make_campaign(progress=seen.append).run()
+        # "generation" counts completed batches: a finished run reads 4/4
+        assert [e["generation"] for e in seen] == [1, 2, 3, 4]
+        assert all(e["generations"] == 4 for e in seen)
+        assert (seen[0]["target"], seen[0]["spec_id"]) == (
+            "baseline", "a2-er20-first"
+        )
+        assert (seen[-1]["target"], seen[-1]["spec_id"]) == (
+            "hardened", "lean-er12-random"
+        )
+        assert all(e["attempts"] == 5 for e in seen)
 
     def test_cancel_at_batch_boundary(self, make_campaign, tmp_path):
         fired = []

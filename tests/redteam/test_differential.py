@@ -5,8 +5,10 @@ The contract under test: a campaign summary is a pure function of
 schedule, and injected worker faults must never change a byte of
 :meth:`~repro.redteam.campaign.CampaignResult.to_json`.
 
-Fast tier drives the arithmetic ``FakeAttackSurface``; the ``slow``
-markers replay the same scenarios on the real PRESENT benchmark.
+Fast tier drives the arithmetic ``FakeAttackSurface`` (its kill at
+every boundary sweep runs for both run kinds in
+``tests/resilience/test_resumable_run.py``); the ``slow`` markers replay
+the same scenarios on the real PRESENT benchmark.
 """
 
 from __future__ import annotations
@@ -44,16 +46,6 @@ class TestFakeTierDifferential:
         oracle = make_campaign(processes=0).run().to_json()
         assert make_campaign(processes=1).run().to_json() == oracle
         assert make_campaign(processes=4).run().to_json() == oracle
-
-    def test_kill_at_every_checkpoint_resumes_bitwise(
-        self, make_campaign, tmp_path
-    ):
-        oracle = make_campaign().run().to_json()
-        for batch in range(4):  # 2 targets x 2 specs
-            resumed = interrupted_then_resumed(
-                make_campaign, tmp_path / f"b{batch}", batch
-            )
-            assert resumed.to_json() == oracle
 
     def test_kill_resume_across_worker_counts(
         self, make_campaign, tmp_path

@@ -238,10 +238,11 @@ class TestExplorationCheckpoint:
             ),
             ("nsga2", 5),
             ("nsga2", [1, 2]),
+            ("resilience", {"retries": "x"}),
         ],
         ids=[
             "rng_state-dict", "rng_state-int", "rng_state-negative",
-            "nsga2-int", "nsga2-list",
+            "nsga2-int", "nsga2-list", "resilience-retries",
         ],
     )
     def test_malformed_field_fails_resume(

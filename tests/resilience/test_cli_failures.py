@@ -77,24 +77,16 @@ class TestCliFailurePaths:
         )
         assert_clean_failure(proc, "repro: error:", "schema version")
 
-    def test_unwritable_checkpoint_dir_on_harden(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")  # a file: mkdir under it fails even as root
-        proc = run_cli(
-            "harden", "PRESENT", "--checkpoint-dir", str(blocker / "run"),
-        )
-        assert_clean_failure(
-            proc, "repro: error:", "not writable", "--checkpoint-dir"
-        )
-
     def test_unwritable_checkpoint_dir_on_explore(self, tmp_path):
         blocker = tmp_path / "blocker"
-        blocker.write_text("")
+        blocker.write_text("")  # a file: mkdir under it fails even as root
         proc = run_cli(
             "explore", "PRESENT", "--population", "4", "--generations", "1",
             "--checkpoint-dir", str(blocker / "run"),
         )
-        assert_clean_failure(proc, "repro: error:", "not writable")
+        assert_clean_failure(
+            proc, "repro: error:", "not writable", "--checkpoint-dir"
+        )
 
     def test_ga_settings_mismatch_on_resume(self, tmp_path, make_explorer):
         """A checkpoint written with different GA settings is refused with
