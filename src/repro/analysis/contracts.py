@@ -151,11 +151,14 @@ def default_registry() -> ContractRegistry:
                 top_level_only=True,
             ),
             # Red-team probe surface: one attempt must not leak state
-            # into the next or the campaign loses bitwise replay.
+            # into the next or the campaign loses bitwise replay.  Its
+            # one memo, the per-Thresh_ER region ranking, is a write-once
+            # cache of a pure function of the target.
             Contract(
                 pattern="repro.redteam.surface.*",
                 reason="attack probes must be replayable bitwise",
-                allow=_KERNEL_MEMO_CACHES,
+                allow=_KERNEL_MEMO_CACHES
+                + ("mutates_global:repro.redteam.surface._RANKINGS",),
             ),
         ]
     )

@@ -19,11 +19,12 @@ are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.layout.layout import Layout
+from repro.layout.rows import RowOccupancy
 from repro.place.density import DensityMap
 
 #: Local density above which pin access starts failing.
@@ -82,24 +83,7 @@ def check_drc(layout: Layout, routing: Optional[object] = None) -> DrcReport:
 def _check_placement(layout: Layout, report: DrcReport) -> None:
     """Overlaps, out-of-core cells, and hard-blockage violations."""
     for occ in layout.occupancy:
-        prev_end = 0
-        prev_name = ""
-        for p in occ:
-            if p.start < prev_end:
-                report.violations.append(
-                    DrcViolation(
-                        "placement",
-                        f"{p.name} overlaps {prev_name} in row {occ.row.index}",
-                    )
-                )
-            if p.end > occ.row.num_sites or p.start < 0:
-                report.violations.append(
-                    DrcViolation(
-                        "placement", f"{p.name} outside row {occ.row.index}"
-                    )
-                )
-            prev_end = max(prev_end, p.end)
-            prev_name = p.name
+        report.violations.extend(_row_violations(occ))
     for blockage in layout.blockages.values():
         if not blockage.is_hard:
             continue
@@ -109,6 +93,53 @@ def _check_placement(layout: Layout, report: DrcReport) -> None:
                     "placement", f"{name} inside hard blockage {blockage.name}"
                 )
             )
+
+
+def _row_violations(occ: RowOccupancy) -> List[DrcViolation]:
+    """Overlaps and out-of-row cells of one row, left to right."""
+    found: List[DrcViolation] = []
+    prev_end = 0
+    prev_name = ""
+    for p in occ:
+        if p.start < prev_end:
+            found.append(
+                DrcViolation(
+                    "placement",
+                    f"{p.name} overlaps {prev_name} in row {occ.row.index}",
+                )
+            )
+        if p.end > occ.row.num_sites or p.start < 0:
+            found.append(
+                DrcViolation("placement", f"{p.name} outside row {occ.row.index}")
+            )
+        prev_end = max(prev_end, p.end)
+        prev_name = p.name
+    return found
+
+
+def placement_drc_delta(layout: Layout, rows: Dict[int, RowOccupancy]) -> int:
+    """Change of ``check_drc(layout).count`` were ``rows`` swapped in.
+
+    ``rows`` maps row indices to replacement occupancies (``layout`` is
+    not touched).  Only those rows are rescanned: the per-row overlap
+    scan, then each hard blockage's hits inside them.
+    """
+    delta = 0
+    for index, occ in rows.items():
+        delta += len(_row_violations(occ))
+        delta -= len(_row_violations(layout.occupancy[index]))
+    for blockage in layout.blockages.values():
+        if not blockage.is_hard:
+            continue
+        rect = blockage.rect
+        touched = layout.rows_in_rect(rect)
+        for index, occ in rows.items():
+            if index in touched:
+                delta += len(layout.occupants_in_rect(occ, rect))
+                delta -= len(
+                    layout.occupants_in_rect(layout.occupancy[index], rect)
+                )
+    return delta
 
 
 def _check_congestion(routing: object, report: DrcReport) -> None:

@@ -26,6 +26,13 @@ Bitwise-equality argument (vs the per-node oracle):
 The per-netlist static structure (levels, edge groups, arc variants,
 static sink loads) is cached in a :class:`weakref.WeakKeyDictionary` and
 invalidated by the netlist's ``mod_count``.
+
+The stages of :func:`run_sta_vector` are separate functions
+(:func:`parasitic_arrays`, :func:`wire_and_load`,
+:func:`forward_arrivals`) so the red-team impact delta
+(:mod:`repro.redteam.impact`) can rerun the same forward pass on patched
+arrays; :func:`arc_delay` is the scalar twin of the per-edge arc delay
+for the few cells an implant adds.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import numpy as np
 
 from repro.errors import TimingError
 from repro.netlist.netlist import Netlist
+from repro.tech.library import StdCell
 from repro.timing.constraints import TimingConstraints
 from repro.timing.delay import PORT_LOAD_FF, DelayCalculator
 
@@ -51,7 +59,7 @@ _LevelSlice = Tuple[int, int, int, int]
 
 
 @dataclass
-class _Structure:
+class TimingStructure:
     """Static (per-netlist) levelized timing graph in array form."""
 
     mod_count: int
@@ -89,7 +97,7 @@ class _Structure:
     port_endpoints: List[Tuple[int, List[str]]]  # (net index, port names)
 
 
-_CACHE: "weakref.WeakKeyDictionary[Netlist, _Structure]" = (
+_CACHE: "weakref.WeakKeyDictionary[Netlist, TimingStructure]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -128,7 +136,7 @@ def _level_slices(
     return slices
 
 
-def _build_structure(netlist: Netlist) -> _Structure:
+def _build_structure(netlist: Netlist) -> TimingStructure:
     clock_nets = netlist.clock_nets()
     names = [net.name for net in netlist.nets]
     index = {name: i for i, name in enumerate(names)}
@@ -160,11 +168,7 @@ def _build_structure(netlist: Netlist) -> _Structure:
                 key = (id(master), pin.name, out_pin)
                 variants = arc_cache.get(key)
                 if variants is None:
-                    variants = [
-                        (a.intrinsic_delay, a.drive_resistance)
-                        for a in master.arcs
-                        if a.from_pin == pin.name and a.to_pin == out_pin
-                    ]
+                    variants = arc_variants(master, pin.name, out_pin)
                     arc_cache[key] = variants
                 adjacency[si].append(len(e_src_l))
                 e_src_l.append(si)
@@ -271,12 +275,7 @@ def _build_structure(netlist: Netlist) -> _Structure:
             if drv.is_sequential:
                 ffq_idx_l.append(index[net.name])
                 ffq_vars.append(
-                    [
-                        (a.intrinsic_delay, a.drive_resistance)
-                        for a in drv.master.arcs
-                        if a.from_pin == "CK"
-                        and a.to_pin == net.driver_pin.pin
-                    ]
+                    arc_variants(drv.master, "CK", net.driver_pin.pin)
                 )
     ffq_intr, ffq_dr, ffq_starts, ffq_has_var = _variant_arrays(ffq_vars)
     ffq_idx_arr = np.array(ffq_idx_l, dtype=np.int64)
@@ -296,7 +295,7 @@ def _build_structure(netlist: Netlist) -> _Structure:
         if net.sink_ports:
             port_endpoints.append((index[net.name], list(net.sink_ports)))
 
-    return _Structure(
+    return TimingStructure(
         mod_count=netlist.mod_count,
         names=names,
         csink=csink,
@@ -328,7 +327,8 @@ def _build_structure(netlist: Netlist) -> _Structure:
     )
 
 
-def _structure(netlist: Netlist) -> _Structure:
+def timing_structure(netlist: Netlist) -> TimingStructure:
+    """The levelized timing graph of ``netlist`` (cached per mod_count)."""
     cached = _CACHE.get(netlist)
     if cached is not None and cached.mod_count == netlist.mod_count:
         return cached
@@ -338,7 +338,7 @@ def _structure(netlist: Netlist) -> _Structure:
 
 
 def _edge_delays(
-    s: _Structure, load: np.ndarray, cell_derate: float
+    s: TimingStructure, load: np.ndarray, cell_derate: float
 ) -> np.ndarray:
     """Per-forward-edge arc delay: max over variants × derate (0 if none)."""
     edelay = np.zeros(len(s.e_src), dtype=np.float64)
@@ -348,6 +348,82 @@ def _edge_delays(
             np.maximum.reduceat(flat, s.var_starts) * cell_derate
         )
     return edelay
+
+
+def arc_variants(
+    master: StdCell, from_pin: str, to_pin: str
+) -> List[Tuple[float, float]]:
+    """(intrinsic, drive resistance) of every ``from_pin → to_pin`` arc."""
+    return [
+        (a.intrinsic_delay, a.drive_resistance)
+        for a in master.arcs
+        if a.from_pin == from_pin and a.to_pin == to_pin
+    ]
+
+
+def arc_delay(
+    variants: List[Tuple[float, float]], load: float, cell_derate: float
+) -> float:
+    """Scalar twin of the per-edge arc delay: max over variants × derate."""
+    if not variants:
+        return 0.0
+    worst = max(intr + (dr * load) / 1000.0 for intr, dr in variants)
+    return worst * cell_derate
+
+
+def parasitic_arrays(
+    s: TimingStructure, dc: DelayCalculator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-net wire (R Ω, C fF) of ``dc``, in structure order."""
+    n = len(s.names)
+    r = np.empty(n, dtype=np.float64)
+    c = np.empty(n, dtype=np.float64)
+    net_parasitics = dc.net_parasitics
+    for i, name in enumerate(s.names):
+        r[i], c[i] = net_parasitics(name)
+    return r, c
+
+
+def wire_and_load(
+    r: np.ndarray, c: np.ndarray, csink: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-net Elmore wire delay (ns) and driver load (fF)."""
+    return r * (c / 2.0 + csink) * 1e-6, c + csink
+
+
+def forward_arrivals(
+    s: TimingStructure,
+    wire: np.ndarray,
+    load: np.ndarray,
+    cell_derate: float,
+    input_delay: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Levelized forward max-propagation of data arrival times.
+
+    Returns the per-net arrival (``-inf`` where no source reaches the
+    net) and the per-forward-edge arc delays the backward pass reuses.
+    """
+    edelay = _edge_delays(s, load, cell_derate)
+    at = np.full(len(s.names), -np.inf)
+    if s.port_src.size:
+        at[s.port_src] = input_delay
+    if s.ffq_idx.size:
+        ffq_delay = np.zeros(s.ffq_idx.size, dtype=np.float64)
+        if len(s.ffq_intr):
+            flat = s.ffq_intr + (s.ffq_dr * load[s.ffq_v_net]) / 1000.0
+            ffq_delay[s.ffq_has_var] = (
+                np.maximum.reduceat(flat, s.ffq_starts) * cell_derate
+            )
+        at[s.ffq_idx] = ffq_delay
+    aw = at + wire
+    for elo, ehi, slo, shi in s.fwd_levels:
+        cand = aw[s.e_src[elo:ehi]] + edelay[elo:ehi]
+        starts = s.fwd_seg_starts[slo:shi] - elo
+        vals = np.maximum.reduceat(cand, starts)
+        dsts = s.fwd_seg_dst[slo:shi]
+        at[dsts] = vals
+        aw[dsts] = vals + wire[dsts]
+    return at, edelay
 
 
 def run_sta_vector(
@@ -362,42 +438,17 @@ def run_sta_vector(
     """
     from repro.timing.sta import EndpointSlack, STAResult
 
-    netlist = layout.netlist
-    s = _structure(netlist)
+    s = timing_structure(layout.netlist)
     names = s.names
     n = len(names)
     period = constraints.clock_period
 
     # Per-call parasitics (the only dynamic inputs).
-    r = np.empty(n, dtype=np.float64)
-    c = np.empty(n, dtype=np.float64)
-    net_parasitics = dc.net_parasitics
-    for i, name in enumerate(names):
-        r[i], c[i] = net_parasitics(name)
-    wire = r * (c / 2.0 + s.csink) * 1e-6
-    load = c + s.csink
-    edelay = _edge_delays(s, load, dc.cell_derate)
-
-    # --- sources + forward max-propagation ----------------------------- #
-    at = np.full(n, -np.inf)
-    if s.port_src.size:
-        at[s.port_src] = constraints.input_delay
-    if s.ffq_idx.size:
-        ffq_delay = np.zeros(s.ffq_idx.size, dtype=np.float64)
-        if len(s.ffq_intr):
-            flat = s.ffq_intr + (s.ffq_dr * load[s.ffq_v_net]) / 1000.0
-            ffq_delay[s.ffq_has_var] = (
-                np.maximum.reduceat(flat, s.ffq_starts) * dc.cell_derate
-            )
-        at[s.ffq_idx] = ffq_delay
-    aw = at + wire
-    for elo, ehi, slo, shi in s.fwd_levels:
-        cand = aw[s.e_src[elo:ehi]] + edelay[elo:ehi]
-        starts = s.fwd_seg_starts[slo:shi] - elo
-        vals = np.maximum.reduceat(cand, starts)
-        dsts = s.fwd_seg_dst[slo:shi]
-        at[dsts] = vals
-        aw[dsts] = vals + wire[dsts]
+    r, c = parasitic_arrays(s, dc)
+    wire, load = wire_and_load(r, c, s.csink)
+    at, edelay = forward_arrivals(
+        s, wire, load, dc.cell_derate, constraints.input_delay
+    )
 
     # --- endpoints + required seeds ------------------------------------ #
     endpoints: List[EndpointSlack] = []

@@ -19,7 +19,7 @@ from repro.errors import LayoutError
 from repro.geometry import Interval, Point, Rect
 from repro.layout.blockage import PlacementBlockage
 from repro.layout.gaps import GapGraph
-from repro.layout.rows import CoreRow, RowOccupancy, RowPlacement
+from repro.layout.rows import CoreRow, RowOccupancy
 from repro.netlist.netlist import Netlist
 from repro.tech.technology import Technology
 
@@ -184,10 +184,14 @@ class Layout:
         """µm bounding box of a placed instance."""
         pl = self.placement(instance_name)
         inst = self.netlist.instance(instance_name)
+        return self.span_rect(pl.row, pl.start, inst.width_sites)
+
+    def span_rect(self, row: int, start: int, width: int) -> Rect:
+        """µm box of ``width`` sites of ``row`` from site ``start``."""
         t = self.technology
-        x = pl.start * t.site_width
-        y = pl.row * t.row_height
-        return Rect(x, y, x + inst.width_sites * t.site_width, y + t.row_height)
+        x = start * t.site_width
+        y = row * t.row_height
+        return Rect(x, y, x + width * t.site_width, y + t.row_height)
 
     def cell_center(self, instance_name: str) -> Point:
         """µm centre of a placed instance (pin-location approximation)."""
@@ -237,20 +241,32 @@ class Layout:
 
     def instances_in_rect(self, rect: Rect) -> List[str]:
         """Names of placed instances whose cell box intersects ``rect``."""
+        result: List[str] = []
+        for row in self.rows_in_rect(rect):
+            result.extend(self.occupants_in_rect(self.occupancy[row], rect))
+        return result
+
+    def rows_in_rect(self, rect: Rect) -> List[int]:
+        """Indices of the rows whose strip intersects ``rect``."""
         t = self.technology
         row_lo = max(int(rect.ylo / t.row_height), 0)
         row_hi = min(int(rect.yhi / t.row_height) + 1, self.num_rows)
-        result: List[str] = []
-        for row in range(row_lo, row_hi):
-            row_y = self.rows[row].y
-            if row_y >= rect.yhi or row_y + t.row_height <= rect.ylo:
-                continue
-            for p in self.occupancy[row]:
-                x_lo = p.start * t.site_width
-                x_hi = p.end * t.site_width
-                if x_lo < rect.xhi and rect.xlo < x_hi:
-                    result.append(p.name)
-        return result
+        return [
+            row
+            for row in range(row_lo, row_hi)
+            if self.rows[row].y < rect.yhi
+            and self.rows[row].y + t.row_height > rect.ylo
+        ]
+
+    def occupants_in_rect(self, occ: RowOccupancy, rect: Rect) -> List[str]:
+        """Names of ``occ``'s cells whose x extent intersects ``rect``."""
+        site_width = self.technology.site_width
+        return [
+            p.name
+            for p in occ
+            if p.start * site_width < rect.xhi
+            and rect.xlo < p.end * site_width
+        ]
 
     def rect_to_row_span(self, rect: Rect) -> List[Tuple[int, Interval]]:
         """Rows and site intervals covered by a µm rectangle.
@@ -332,15 +348,7 @@ class Layout:
         other.netlist = self.netlist
         other.technology = self.technology
         other.rows = self.rows  # immutable row geometry, shareable
-        other.occupancy = []
-        for occ in self.occupancy:
-            new_occ = RowOccupancy(occ.row)
-            new_occ._starts = list(occ._starts)
-            new_occ._items = [
-                RowPlacement(name=p.name, start=p.start, width=p.width)
-                for p in occ._items
-            ]
-            other.occupancy.append(new_occ)
+        other.occupancy = [occ.copy() for occ in self.occupancy]
         other._placements = dict(self._placements)
         other.blockages = dict(self.blockages)
         other.fixed = set(self.fixed)

@@ -80,6 +80,16 @@ class RowOccupancy:
         """Start-site index parallel to :attr:`placements` (don't mutate)."""
         return self._starts
 
+    def copy(self) -> "RowOccupancy":
+        """An independent occupancy of the same row with the same cells."""
+        other = RowOccupancy(self.row)
+        other._starts = list(self._starts)
+        other._items = [
+            RowPlacement(name=p.name, start=p.start, width=p.width)
+            for p in self._items
+        ]
+        return other
+
     def used_sites(self) -> int:
         """Total number of occupied sites."""
         return sum(p.width for p in self._items)

@@ -10,24 +10,44 @@ attempts per-attempt crash isolation, timeouts, and retry for free.
 Here ``objectives`` is not a float tuple but the attempt's **outcome
 dict**: a plain-JSON record of success/failure, the region geometry the
 attacker used, and (for successful implants) the timing and DRC impact
-measured on an independent implanted copy of the layout.  Every value
-round-trips JSON exactly, which is what lets campaign summaries be
-bitwise-compared across worker counts and kill/resume schedules.
+of the implant.  Every value round-trips JSON exactly, which is what
+lets campaign summaries be bitwise-compared across worker counts and
+kill/resume schedules.
+
+An attempt pays only for its own work: the seeded gate packing, the
+corridor check and the implant's delta.  Each surface ranks its regions
+once per Thresh_ER (:func:`~repro.security.trojan.rank_regions`, filled
+lazily in every process) and measures impact with
+:class:`~repro.redteam.impact.ImplantImpact` from the base timing state
+of its own ``run_sta`` call, without rebuilding the design.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.drc.checker import check_drc
 from repro.redteam.grid import AttackSpecPoint
+from repro.redteam.impact import ImplantImpact
 from repro.resilience import faults
 from repro.security.assets import SecurityAssets
-from repro.security.trojan import attempt_insertion, materialize_implant
+from repro.security.trojan import (
+    RegionRanking,
+    attempt_insertion,
+    implant_wiring,
+    rank_regions,
+)
 from repro.timing.constraints import TimingConstraints
+from repro.timing.delay import DelayCalculator
 from repro.timing.sta import STAResult, run_sta
+
+# perfbench's traced run binds this name (``BOUNDARIES`` in
+# perfbench/tracing.py), so it stays importable from this module.
+from repro.security.trojan import materialize_implant  # noqa: F401
 
 __all__ = ["AttackAttempt", "AttemptOutcome", "LayoutAttackSurface"]
 
@@ -59,19 +79,31 @@ class AttemptOutcome:
         return 0.0
 
 
+#: Region rankings per surface and Thresh_ER.  A write-once memo of a
+#: pure function of the target, filled lazily in each process; kept at
+#: module level (weakly keyed) like the kernels' memo caches, which the
+#: surface's purity contract allows by name.
+_RANKINGS: (
+    "weakref.WeakKeyDictionary[LayoutAttackSurface, Dict[int, RegionRanking]]"
+) = weakref.WeakKeyDictionary()
+
+
 class LayoutAttackSurface:
     """One real target layout, attackable under supervision.
 
     Built once in the campaign parent; forked workers inherit the whole
     design database through process memory, so tasks stay tiny (an
-    :class:`AttackAttempt` is a few scalars).
+    :class:`AttackAttempt` is a few scalars).  Attempts never mutate the
+    design: the attacker is a pure query, regions are ranked once per
+    Thresh_ER, and impact is computed from the base timing state of the
+    target (:class:`~repro.redteam.impact.ImplantImpact`), whose
+    ``materialize_implant`` oracle the tests check it against.
 
     Args:
         target_id: Stable name of this target in campaign summaries
             (``"baseline"``, ``"hardened"``, ``"front-3"``...).
         layout / sta / assets / routing: The design database under
-            attack (never mutated — the attacker is a pure query and
-            impact is measured on an independent implanted copy).
+            attack (never mutated).
         constraints: Timing constraints; required for slack-impact
             measurement.
         measure_impact: Measure TNS/DRC deltas of successful implants
@@ -102,16 +134,28 @@ class LayoutAttackSurface:
         self.measure_impact = measure_impact and constraints is not None
         self._base_tns: Optional[float] = None
         self._base_drc: Optional[int] = None
-        if self.measure_impact:
-            # Eager: computed pre-fork so every worker shares the values.
-            self._base_tns = run_sta(layout, constraints).tns
-            self._base_drc = self._drc_count(layout)
+        self._impact: Optional[ImplantImpact] = None
+        if constraints is not None and self.measure_impact:
+            # Eager: computed pre-fork so every worker shares the state.
+            # The impact reuses this call's parasitics (no routing: the
+            # implanted design is timed on HPWL estimates).
+            dc = DelayCalculator(layout)
+            self._base_tns = run_sta(layout, constraints, delay_calc=dc).tns
+            self._base_drc = check_drc(layout).count
+            self._impact = ImplantImpact(
+                layout, constraints, dc, self._base_drc
+            )
 
-    @staticmethod
-    def _drc_count(layout: Any) -> int:
-        from repro.drc.checker import check_drc
-
-        return check_drc(layout).count
+    def ranking(self, thresh_er: int) -> RegionRanking:
+        """This target's region ranking at ``thresh_er`` (memoized)."""
+        memo = _RANKINGS.setdefault(self, {})
+        ranked = memo.get(thresh_er)
+        if ranked is None:
+            ranked = rank_regions(
+                self.layout, self.sta, self.assets, thresh_er, self.routing
+            )
+            memo[thresh_er] = ranked
+        return ranked
 
     def run(self, attempt: AttackAttempt) -> AttemptOutcome:
         """Evaluate one seeded insertion attempt (supervisor protocol)."""
@@ -127,6 +171,7 @@ class LayoutAttackSurface:
             spec=spec,
             thresh_er=point.thresh_er,
             rng=rng,
+            ranked=self.ranking(point.thresh_er),
         )
         outcome: Dict[str, Any] = {
             "target": attempt.target,
@@ -142,10 +187,11 @@ class LayoutAttackSurface:
             "tns_delta": None,
             "drc_delta": None,
         }
-        if report.success and self.measure_impact:
-            implanted = materialize_implant(self.layout, report, spec)
-            tns = run_sta(implanted, self.constraints).tns
+        if report.success and self._impact is not None:
+            tns, drc = self._impact.measure(
+                implant_wiring(self.layout, report)
+            )
             assert self._base_tns is not None and self._base_drc is not None
             outcome["tns_delta"] = tns - self._base_tns
-            outcome["drc_delta"] = self._drc_count(implanted) - self._base_drc
+            outcome["drc_delta"] = drc - self._base_drc
         return AttemptOutcome(outcome)

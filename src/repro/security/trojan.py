@@ -5,15 +5,21 @@ recovers the exploitable regions, and tries to implant a Trojan shaped
 after A2-class additive attacks: a small trigger (counter/logic gates) plus
 a payload gate, placed into free sites near a security-critical victim and
 wired to it through leftover routing tracks.  Per the threat model the
-attacker may only *add* cells and wires — existing cells and routes are
-never moved or resized.
+attacker may only *add* cells and wires, and delete the filler cells its
+gates land on (Definition 2.2 counts filler sites as exploitable, see
+:mod:`repro.place.fillers`) — functional cells and routes are never
+moved or resized.
 
-:func:`attempt_insertion` is a pure query: it never mutates the layout it
-attacks (the red-team campaign's rollback guarantee is "there is nothing
-to roll back").  A successful report carries the concrete gate
-``placements`` so :func:`materialize_implant` can build an *independent*
-implanted layout — deep-copied netlist included — for slack/DRC impact
-measurement without ever touching the victim design database.
+:func:`rank_regions` scans and ranks a target's exploitable regions at one
+Thresh_ER; :func:`attempt_insertion` walks that ranking.  Both are pure
+queries that never mutate the layout they attack (the red-team campaign's
+rollback guarantee is "there is nothing to roll back").  A successful
+report carries the concrete gate ``placements``; :func:`implant_wiring`
+names the nets, pins and deleted fillers they imply.
+:func:`materialize_implant` builds that implant as an *independent*
+layout, deep-copied netlist included: the oracle that the red-team
+surface's impact delta (:mod:`repro.redteam.impact`) must match, and the
+design lint checks, without ever touching the victim design database.
 
 Used by the validation benchmark and the :mod:`repro.redteam` campaign
 engine: a defense works iff this attacker fails (or is pushed to regions
@@ -22,12 +28,13 @@ so small/far that insertion no longer closes timing).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SecurityError
+from repro.errors import LayoutError, SecurityError
 from repro.geometry import Point
 from repro.layout.layout import Layout
 from repro.netlist.netlist import PortDirection
@@ -105,8 +112,7 @@ class AttackReport:
     ``placements`` holds the concrete ``(master, row, start)`` gate
     assignments of a successful attempt (empty on failure), and
     ``victim`` names the asset the tap corridor targets — together they
-    are everything :func:`materialize_implant` needs to rebuild the
-    implant on an independent copy of the design.
+    are everything :func:`implant_wiring` needs to describe the implant.
     """
 
     success: bool
@@ -183,6 +189,52 @@ def _try_place_gates(
     return [p for p in placements if p is not None]
 
 
+@dataclass(frozen=True)
+class RegionRanking:
+    """A target's exploitable regions at one Thresh_ER, best first.
+
+    ``candidates`` holds ``(region, distance_um, victim)`` for every region
+    with a placed asset to target, sorted by ``sites / (1 + distance)``
+    descending (stable).  ``num_regions`` counts every region the scan
+    found, so an empty ranking still tells "nothing exploitable" apart
+    from "no placed asset".
+    """
+
+    thresh_er: int
+    num_regions: int
+    candidates: Tuple[Tuple[ExploitableRegion, float, str], ...]
+
+
+def rank_regions(
+    layout: Layout,
+    sta: STAResult,
+    assets: SecurityAssets,
+    thresh_er: int = DEFAULT_THRESH_ER,
+    routing: Optional[object] = None,
+) -> RegionRanking:
+    """Scan the exploitable regions and rank them for an attacker.
+
+    A pure function of the target and ``thresh_er``: the red-team
+    surface computes it once per Thresh_ER and hands it to every
+    :func:`attempt_insertion` through ``ranked=``.
+    """
+    report = find_exploitable_regions(
+        layout, sta, assets, thresh_er=thresh_er, routing=routing
+    )
+    scored = []
+    for region in report.regions:
+        dist, victim = _nearest_asset_distance(layout, region, assets)
+        if victim is None:
+            continue
+        scored.append((region.num_sites / (1.0 + dist), region, dist, victim))
+    scored.sort(key=lambda t: -t[0])
+    return RegionRanking(
+        thresh_er=thresh_er,
+        num_regions=len(report.regions),
+        candidates=tuple((r, d, v) for _, r, d, v in scored),
+    )
+
+
 def attempt_insertion(
     layout: Layout,
     sta: STAResult,
@@ -191,6 +243,7 @@ def attempt_insertion(
     spec: TrojanSpec = TrojanSpec(),
     thresh_er: int = DEFAULT_THRESH_ER,
     rng: Optional[np.random.Generator] = None,
+    ranked: Optional[RegionRanking] = None,
 ) -> AttackReport:
     """Try to insert the Trojan; the layout itself is never mutated.
 
@@ -199,33 +252,34 @@ def attempt_insertion(
     spec's tap-distance limit of a victim (a distance exactly at the
     limit passes), and (3) — when a routing result is supplied — has
     enough free tracks over the tap corridor between the region and its
-    victim.
+    victim.  Regions are tried best-ranked first (:func:`rank_regions`).
 
     Args:
-        rng: Seeded generator consumed by the ``random_fit`` strategy
-            (one permutation draw per candidate region); ignored by
-            ``first_fit``.
+        rng: Seeded generator consumed by the ``random_fit`` strategy:
+            two permutation draws (gate order, then gap order) for every
+            ranked region within the tap limit that is tried, until the
+            attempt succeeds.  Ignored by ``first_fit``.
+        ranked: This target's :func:`rank_regions` at ``thresh_er``;
+            computed here when omitted.
 
     Returns:
         An :class:`AttackReport` describing the best attempt.
+
+    Raises:
+        SecurityError: When ``ranked`` was made at another Thresh_ER.
     """
-    report = find_exploitable_regions(
-        layout, sta, assets, thresh_er=thresh_er, routing=routing
-    )
-    if not report.regions:
+    if ranked is None:
+        ranked = rank_regions(layout, sta, assets, thresh_er, routing)
+    elif ranked.thresh_er != thresh_er:
+        raise SecurityError(
+            f"region ranking is for Thresh_ER {ranked.thresh_er}, "
+            f"not {thresh_er}"
+        )
+    if not ranked.num_regions:
         return AttackReport(
             success=False, reason="no exploitable regions remain"
         )
-
-    # Prefer big regions close to an asset.
-    scored = []
-    for region in report.regions:
-        dist, victim = _nearest_asset_distance(layout, region, assets)
-        if victim is None:
-            continue
-        scored.append((region.num_sites / (1.0 + dist), region, dist, victim))
-    scored.sort(key=lambda t: -t[0])
-    if not scored:
+    if not ranked.candidates:
         return AttackReport(
             success=False,
             reason="no placed security asset to target",
@@ -234,7 +288,7 @@ def attempt_insertion(
     best_failure = AttackReport(
         success=False, reason="no region fits the Trojan gates"
     )
-    for _, region, dist, victim in scored:
+    for region, dist, victim in ranked.candidates:
         if spec.tap_limit_um is not None and dist > spec.tap_limit_um:
             best_failure = AttackReport(
                 success=False,
@@ -282,6 +336,140 @@ def attempt_insertion(
     return best_failure
 
 
+@dataclass(frozen=True)
+class ImplantGate:
+    """One Trojan gate: its instance, site and pin-to-net wiring.
+
+    ``inputs`` and ``outputs`` list ``(pin, net)`` in the order the
+    implant connects them (the master's pin order).
+    """
+
+    name: str
+    master: str
+    row: int
+    start: int
+    inputs: Tuple[Tuple[str, str], ...]
+    outputs: Tuple[Tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class ImplantWiring:
+    """How a successful attack hooks its Trojan into the design.
+
+    The one description both :func:`materialize_implant` and the
+    red-team impact delta (:mod:`repro.redteam.impact`) build from, so
+    the two cannot drift apart.  ``nets`` are the Trojan nets in creation
+    order (one output net per gate); the payload leaves through
+    ``leak_port`` on ``nets[-1]``, pinned at ``leak_position``.
+    ``fillers`` are the filler cells the gates cover, which the attacker
+    deletes.
+    """
+
+    tap_net: str
+    gates: Tuple[ImplantGate, ...]
+    nets: Tuple[str, ...]
+    leak_port: str
+    leak_position: Point
+    fillers: Tuple[str, ...]
+
+
+def implant_wiring(
+    layout: Layout, report: AttackReport, prefix: str = IMPLANT_PREFIX
+) -> ImplantWiring:
+    """Name the nets, pins and deleted fillers of a report's implant.
+
+    Wiring follows the A2 shape: the victim's output net is tapped as the
+    trigger input, the trojan gates chain combinationally (each gate's
+    first data input reads the previous gate's net, spare data inputs
+    re-tap the victim net), and the payload output leaves through a
+    ``<prefix>_leak`` port on the core boundary nearest the last gate.  A
+    flip-flop's clock pin reads the design's clock net when one exists
+    and the tap net on clock-less designs.
+
+    Raises:
+        SecurityError: When the report is not a successful one or names
+            no victim with a driven output net.
+        LayoutError: When a gate's row is outside the core (the message
+            :meth:`Layout.place` gives).
+    """
+    if not report.success or not report.placements:
+        raise SecurityError(
+            "an implant needs a successful report with placements"
+        )
+    if report.victim is None:
+        raise SecurityError("attack report names no victim to tap")
+    netlist = layout.netlist
+    victim = netlist.instance(report.victim)
+    tap_net: Optional[str] = None
+    for pin in victim.master.output_pins:
+        net_name = victim.connections.get(pin.name)
+        if net_name is not None:
+            tap_net = net_name
+            break
+    if tap_net is None:
+        raise SecurityError(
+            f"victim {report.victim!r} has no driven output net to tap"
+        )
+
+    lib = netlist.library
+    clock_net: Optional[str] = None
+    gates: List[ImplantGate] = []
+    fillers: Dict[str, None] = {}
+    prev_net = tap_net
+    for i, (master_name, row, start) in enumerate(report.placements):
+        name = f"{prefix}_g{i}"
+        master = lib.cell(master_name)
+        if not 0 <= row < layout.num_rows:
+            raise LayoutError(f"row {row} out of range for {name!r}")
+        out_net = f"{prefix}_n{i}"
+        inputs: List[Tuple[str, str]] = []
+        chained = False
+        for pin in master.input_pins:
+            if pin.is_clock:
+                if clock_net is None:
+                    clock_nets = sorted(netlist.clock_nets())
+                    clock_net = clock_nets[0] if clock_nets else tap_net
+                inputs.append((pin.name, clock_net))
+            elif not chained:
+                inputs.append((pin.name, prev_net))
+                chained = True
+            else:
+                inputs.append((pin.name, tap_net))
+        gates.append(
+            ImplantGate(
+                name=name,
+                master=master_name,
+                row=row,
+                start=start,
+                inputs=tuple(inputs),
+                outputs=tuple((p.name, out_net) for p in master.output_pins),
+            )
+        )
+        occ = layout.occupancy[row]
+        cells = occ.placements
+        k = max(bisect.bisect_right(occ.starts, start) - 1, 0)
+        while k < len(cells) and cells[k].start < start + master.width_sites:
+            cell = cells[k]
+            if cell.end > start and netlist.instance(cell.name).is_filler:
+                fillers[cell.name] = None
+            k += 1
+        prev_net = out_net
+
+    last = gates[-1]
+    center = layout.span_rect(
+        last.row, last.start, lib.cell(last.master).width_sites
+    ).center
+    core = layout.core
+    return ImplantWiring(
+        tap_net=tap_net,
+        gates=tuple(gates),
+        nets=tuple(f"{prefix}_n{i}" for i in range(len(gates))),
+        leak_port=f"{prefix}_leak",
+        leak_position=Point(core.xhi, min(max(center.y, core.ylo), core.yhi)),
+        fillers=tuple(fillers),
+    )
+
+
 def materialize_implant(
     layout: Layout,
     report: AttackReport,
@@ -294,29 +482,22 @@ def materialize_implant(
     lives on a :meth:`~repro.netlist.netlist.Netlist.copy` of the design
     (the layout's netlist is shared-by-reference across clones, so
     mutating it in place would corrupt every other view of the design).
-
-    Wiring follows the A2 shape: the victim's output net is tapped as the
-    trigger input, the trojan gates chain combinationally, and the
-    payload output leaves through an attacker-added ``<prefix>_leak``
-    port on the core boundary nearest the payload gate.  A flip-flop in
-    the footprint clocks from the design's clock net when one exists
-    (falling back to the tap net on clock-less designs).
+    The gates, nets and leak port are those :func:`implant_wiring`
+    names; the fillers under the gates stay out of the copy's placement.
+    ``spec`` is accepted for symmetry with :func:`attempt_insertion`; the
+    report's placements already name every gate master.
 
     Returns:
         A new, independent :class:`Layout` with the trojan placed and
-        wired — suitable for STA/DRC/lint impact measurement.
+        wired: the oracle for STA/DRC/lint impact measurement.
 
     Raises:
         SecurityError: When the report is not a successful one or names
             no victim.
+        LayoutError: When a gate lands on a non-filler cell.
     """
-    if not report.success or not report.placements:
-        raise SecurityError(
-            "materialize_implant needs a successful report with placements"
-        )
-    if report.victim is None:
-        raise SecurityError("attack report names no victim to tap")
-
+    wiring = implant_wiring(layout, report, prefix)
+    deleted = set(wiring.fillers)
     netlist = layout.netlist.copy()
     implanted = Layout(
         netlist,
@@ -325,59 +506,24 @@ def materialize_implant(
         sites_per_row=layout.sites_per_row,
     )
     for name, pl in layout.placements.items():
-        implanted.place(name, pl.row, pl.start)
+        if name not in deleted:
+            implanted.place(name, pl.row, pl.start)
     for blockage in layout.blockages.values():
         implanted.add_blockage(blockage)
-    implanted.fixed = set(layout.fixed)
+    implanted.fixed = set(layout.fixed) - deleted
     implanted.port_positions = dict(layout.port_positions)
 
-    victim = netlist.instance(report.victim)
-    tap_net: Optional[str] = None
-    for pin in victim.master.output_pins:
-        net_name = victim.connections.get(pin.name)
-        if net_name is not None:
-            tap_net = net_name
-            break
-    if tap_net is None:
-        raise SecurityError(
-            f"victim {report.victim!r} has no driven output net to tap"
-        )
-    clock_nets = sorted(netlist.clock_nets())
-    clock_net = clock_nets[0] if clock_nets else tap_net
-
-    prev_net = tap_net
-    last_gate: Optional[str] = None
-    for i, (master, row, start) in enumerate(report.placements):
-        inst_name = f"{prefix}_g{i}"
-        inst = netlist.add_instance(inst_name, master)
-        out_net = netlist.add_net(f"{prefix}_n{i}").name
-        chained = False
-        for pin in inst.master.input_pins:
-            if pin.is_clock:
-                netlist.connect(inst_name, pin.name, clock_net)
-            elif not chained:
-                # first data input continues the trigger chain
-                netlist.connect(inst_name, pin.name, prev_net)
-                chained = True
-            else:
-                # spare data inputs re-tap the victim net
-                netlist.connect(inst_name, pin.name, tap_net)
-        for pin in inst.master.output_pins:
-            netlist.connect(inst_name, pin.name, out_net)
-        implanted.place(inst_name, row, start)
-        prev_net = out_net
-        last_gate = inst_name
+    for gate, out_net in zip(wiring.gates, wiring.nets):
+        netlist.add_instance(gate.name, gate.master)
+        netlist.add_net(out_net)
+        for pin, net_name in gate.inputs + gate.outputs:
+            netlist.connect(gate.name, pin, net_name)
+        implanted.place(gate.name, gate.row, gate.start)
 
     # The payload leaves through an attacker-added boundary port so the
     # implanted netlist stays fully connected (no dangling net).
-    leak_port = f"{prefix}_leak"
-    netlist.add_port(leak_port, PortDirection.OUTPUT)
-    netlist.connect_port(leak_port, prev_net)
-    if last_gate is not None:
-        center = implanted.cell_center(last_gate)
-        core = implanted.core
-        implanted.port_positions[leak_port] = Point(
-            core.xhi, min(max(center.y, core.ylo), core.yhi)
-        )
+    netlist.add_port(wiring.leak_port, PortDirection.OUTPUT)
+    netlist.connect_port(wiring.leak_port, wiring.nets[-1])
+    implanted.port_positions[wiring.leak_port] = wiring.leak_position
     netlist.validate()
     return implanted

@@ -8,11 +8,12 @@ capacitance in fF, resistance in Ω.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.geometry import half_perimeter_wirelength
+from repro.geometry import Point, half_perimeter_wirelength
 from repro.layout.layout import Layout
 from repro.netlist.netlist import Net
+from repro.tech.technology import Technology
 
 #: Capacitive load presented by an output port (pad driver input), fF.
 PORT_LOAD_FF = 2.0
@@ -23,11 +24,15 @@ _ESTIMATE_LAYER = 5
 
 def estimate_parasitics(layout: Layout, net_name: str) -> Tuple[float, float]:
     """Pre-route (R, C) of a net from its HPWL and mid-layer constants."""
-    points = layout.net_pin_points(net_name)
+    return hpwl_parasitics(layout.technology, layout.net_pin_points(net_name))
+
+
+def hpwl_parasitics(
+    technology: Technology, points: Sequence[Point]
+) -> Tuple[float, float]:
+    """Pre-route (R, C) of a wire joining ``points``: HPWL × layer constants."""
     length = half_perimeter_wirelength(points)
-    layer = layout.technology.layer(
-        min(_ESTIMATE_LAYER, layout.technology.num_layers)
-    )
+    layer = technology.layer(min(_ESTIMATE_LAYER, technology.num_layers))
     return (length * layer.unit_resistance, length * layer.unit_capacitance)
 
 

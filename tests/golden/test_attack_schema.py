@@ -1,6 +1,6 @@
 """Golden fixtures for the red-team attack payloads.
 
-Three pins:
+Four pins:
 
 * the :class:`~repro.security.trojan.AttackReport` payload shape,
 * the full canonical campaign-summary JSON of a fake-tier campaign
@@ -8,7 +8,10 @@ Three pins:
   any drift in float formatting, key order, or aggregation shows here),
 * (slow) the reduced success-rate table of a real PRESENT quick
   campaign, asserting the hardened layout is never easier to attack
-  than the baseline on any grid spec.
+  than the baseline on any grid spec,
+* (slow) the full summary of the same campaign with implant impact
+  measured at a 0.3x clock, which pins real ``tns_delta`` and
+  ``drc_delta`` values bitwise.
 
 Refresh intentionally with ``pytest --update-goldens``.
 """
@@ -83,42 +86,56 @@ def test_campaign_summary_schema_golden(golden, fake_campaign_summary):
     )
 
 
-@pytest.mark.slow
-def test_present_quick_campaign_rates_golden(golden, present_design):
-    """Hardened PRESENT resists at least as well as baseline, per spec."""
+@pytest.fixture(scope="module")
+def present_hardened(present_design):
+    """PRESENT after one CS hardening, with its routed STA."""
     from repro.core.flow import GDSIIGuard
     from repro.core.params import FlowConfig
-    from repro.redteam import LayoutAttackSurface
     from repro.timing.sta import run_sta
 
     d = present_design
-    baseline = LayoutAttackSurface(
-        "baseline", d.layout, d.sta, d.assets,
-        routing=d.routing, constraints=d.constraints,
-        measure_impact=False,
-    )
     guard = GDSIIGuard(
         d.layout, d.constraints, d.assets, baseline_routing=d.routing
     )
     scales = (1.0,) * d.technology.num_layers
-    hardened_flow = guard.run(FlowConfig("CS", 2, 1, scales))
-    hardened = LayoutAttackSurface(
-        "hardened",
-        hardened_flow.layout,
-        run_sta(hardened_flow.layout, d.constraints,
-                routing=hardened_flow.routing),
-        d.assets,
-        routing=hardened_flow.routing,
-        constraints=d.constraints,
-        measure_impact=False,
+    flow = guard.run(FlowConfig("CS", 2, 1, scales))
+    sta = run_sta(flow.layout, d.constraints, routing=flow.routing)
+    return flow, sta
+
+
+def present_quick_campaign(d, hardened, constraints, measure_impact):
+    """The quick grid, 2 attempts, seed 0, on baseline and hardened."""
+    from repro.redteam import LayoutAttackSurface
+
+    flow, hardened_sta = hardened
+    baseline = LayoutAttackSurface(
+        "baseline", d.layout, d.sta, d.assets,
+        routing=d.routing, constraints=constraints,
+        measure_impact=measure_impact,
     )
-    result = AttackCampaign(
-        [("baseline", baseline), ("hardened", hardened)],
+    target = LayoutAttackSurface(
+        "hardened", flow.layout, hardened_sta, d.assets,
+        routing=flow.routing, constraints=constraints,
+        measure_impact=measure_impact,
+    )
+    return AttackCampaign(
+        [("baseline", baseline), ("hardened", target)],
         AttackGrid.preset("quick"),
         attempts=2,
         seed=0,
         supervision=FAST_SUPERVISION,
     ).run()
+
+
+@pytest.mark.slow
+def test_present_quick_campaign_rates_golden(
+    golden, present_design, present_hardened
+):
+    """Hardened PRESENT resists at least as well as baseline, per spec."""
+    d = present_design
+    result = present_quick_campaign(
+        d, present_hardened, d.constraints, measure_impact=False
+    )
 
     rates = {}
     for row in result.rows():
@@ -134,3 +151,29 @@ def test_present_quick_campaign_rates_golden(golden, present_design):
         "present_attack_rates.json",
         json.dumps(rates, indent=2, sort_keys=True) + "\n",
     )
+
+
+@pytest.mark.slow
+def test_present_attack_impact_golden(
+    golden, present_design, present_hardened
+):
+    """Real implant impact values, bitwise: TNS at a 0.3x clock and DRC.
+
+    At the design's own clock every implant delta is 0.0; at 0.3x the
+    implants move TNS, so the pin covers the tap-net patch, the Trojan
+    chain and the endpoint order of the impact measurement.
+    """
+    d = present_design
+    tight = d.constraints.with_period(0.3 * d.constraints.clock_period)
+    result = present_quick_campaign(
+        d, present_hardened, tight, measure_impact=True
+    )
+    deltas = [
+        o["tns_delta"]
+        for row in result.rows()
+        for o in row["outcomes"]
+        if o["success"]
+    ]
+    assert deltas and all(v is not None for v in deltas)
+    assert any(v != 0.0 for v in deltas)
+    golden("present_attack_impact.json", result.to_json())

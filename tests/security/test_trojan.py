@@ -11,6 +11,7 @@ from repro.security.trojan import (
     _try_place_gates,
     attempt_insertion,
     materialize_implant,
+    rank_regions,
 )
 
 
@@ -279,3 +280,48 @@ class TestMaterializeErrors:
         )
         with pytest.raises(SecurityError, match="no victim"):
             materialize_implant(misty_design.layout, report, TrojanSpec())
+
+
+class TestRegionRanking:
+    def test_ranked_attempts_equal_unranked_ones(self, misty_design):
+        d = misty_design
+        for thresh_er in (12, 20):
+            ranked = rank_regions(
+                d.layout, d.sta, d.assets, thresh_er, d.routing
+            )
+            assert ranked.num_regions >= len(ranked.candidates) > 0
+            for strategy in ("first_fit", "random_fit"):
+                spec = TrojanSpec(strategy=strategy)
+                for seed in range(3):
+                    kwargs = dict(
+                        routing=d.routing,
+                        spec=spec,
+                        thresh_er=thresh_er,
+                    )
+                    plain = attempt_insertion(
+                        d.layout, d.sta, d.assets,
+                        rng=np.random.default_rng(seed), **kwargs,
+                    )
+                    memo = attempt_insertion(
+                        d.layout, d.sta, d.assets,
+                        rng=np.random.default_rng(seed), ranked=ranked,
+                        **kwargs,
+                    )
+                    assert memo == plain
+
+    def test_candidates_are_best_first(self, misty_design):
+        d = misty_design
+        ranked = rank_regions(d.layout, d.sta, d.assets, 20, d.routing)
+        scores = [
+            region.num_sites / (1.0 + dist)
+            for region, dist, _ in ranked.candidates
+        ]
+        assert scores == sorted(scores, reverse=True)
+
+    def test_ranking_for_another_thresh_er_is_refused(self, misty_design):
+        d = misty_design
+        ranked = rank_regions(d.layout, d.sta, d.assets, 12, d.routing)
+        with pytest.raises(SecurityError, match="Thresh_ER 12, not 20"):
+            attempt_insertion(
+                d.layout, d.sta, d.assets, thresh_er=20, ranked=ranked
+            )
