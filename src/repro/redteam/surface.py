@@ -146,7 +146,7 @@ class LayoutAttackSurface:
                 layout, constraints, dc, self._base_drc
             )
 
-    def ranking(self, thresh_er: int) -> RegionRanking:
+    def _ranking(self, thresh_er: int) -> RegionRanking:
         """This target's region ranking at ``thresh_er`` (memoized)."""
         memo = _RANKINGS.setdefault(self, {})
         ranked = memo.get(thresh_er)
@@ -171,7 +171,7 @@ class LayoutAttackSurface:
             spec=spec,
             thresh_er=point.thresh_er,
             rng=rng,
-            ranked=self.ranking(point.thresh_er),
+            ranked=self._ranking(point.thresh_er),
         )
         outcome: Dict[str, Any] = {
             "target": attempt.target,
