@@ -23,7 +23,7 @@ Two details keep the sums bitwise equal to the oracle's.  The implanted
 netlist is a :meth:`~repro.netlist.netlist.Netlist.copy`, which lists
 each net's sink pins in instance order, so the base sink loads are summed
 in that order.  Parasitics stay HPWL estimates: the oracle's ``run_sta``
-has no routing either.  ``tests/redteam/test_impact_oracle.py`` checks
+has no routing either.  ``tests/security/test_implant_oracle.py`` checks
 both numbers against the oracle with float ``==``.
 """
 
@@ -163,6 +163,7 @@ class ImplantImpact:
             + points.get(wiring.tap_net, [])
         ]
         net_csink = [
+            # The base pin sum leads the list (0.0 + sum is exact).
             _sink_load(
                 [self._pin_load[tap], *caps.get(wiring.tap_net, [])],
                 int(self._ports[tap]),
