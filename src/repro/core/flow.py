@@ -17,7 +17,11 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.core.cell_shift import CellShiftReport, cell_shift
-from repro.core.local_density import LdaReport, local_density_adjustment
+from repro.core.local_density import (
+    LdaReport,
+    asset_centroid,
+    local_density_adjustment,
+)
 from repro.core.params import FlowConfig
 from repro.core.routing_width import routing_width_scaling
 from repro.drc.checker import check_drc
@@ -229,27 +233,6 @@ class GDSIIGuard:
             return ("LDA", config.lda_n, config.lda_n_iter)
         return ("CS",)
 
-    def _lda_attract_point(self):
-        """The baseline assets' centroid — LDA's attraction point.
-
-        Every flow evaluation applies its operator to a fresh clone of
-        the baseline, so the centroid LDA computes internally is the same
-        for every configuration; continuing a cached ``(n, j)`` prefix
-        must pass it explicitly because the prefix already moved the
-        assets.
-        """
-        placed_assets = [a for a in self.assets if self.baseline.is_placed(a)]
-        if not placed_assets:
-            return None
-        from repro.geometry import Point
-
-        return Point(
-            sum(self.baseline.cell_center(a).x for a in placed_assets)
-            / len(placed_assets),
-            sum(self.baseline.cell_center(a).y for a in placed_assets)
-            / len(placed_assets),
-        )
-
     def _materialize_op(
         self, config: FlowConfig
     ) -> tuple:
@@ -279,12 +262,16 @@ class GDSIIGuard:
         with obs.timed("flow.preprocess"):
             layout = prefix.layout.clone()
         with obs.timed("flow.place_op", op=config.op_select):
+            # Every evaluation starts from a fresh clone of the baseline,
+            # so a full run attracts towards the baseline's asset
+            # centroid; the prefix already moved the assets, so the
+            # continuation must be given that centroid explicitly.
             cont = local_density_adjustment(
                 layout,
                 self.assets,
                 n=config.lda_n,
                 n_iter=config.lda_n_iter - prefix_iters,
-                attract_point=self._lda_attract_point(),
+                attract_point=asset_centroid(self.baseline, self.assets),
             )
         op_report = LdaReport(
             grid_n=config.lda_n,

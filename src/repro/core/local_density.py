@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import FlowError
-from repro.geometry import Rect
+from repro.geometry import Point, Rect
 from repro.layout.blockage import PlacementBlockage
 from repro.layout.layout import Layout
 from repro.place.eco_place import EcoPlacementReport, eco_place
@@ -140,6 +140,22 @@ def asset_density_caps(
     return vec_sigmoid(gain * z + bias_hi)
 
 
+def asset_centroid(layout: Layout, assets: SecurityAssets) -> Optional[Point]:
+    """Mean cell centre of the placed assets; ``None`` when none is placed.
+
+    LDA's attraction point: the density flow converges on the asset bank.
+    """
+    placed_assets = [a for a in assets if layout.is_placed(a)]
+    if not placed_assets:
+        return None
+    return Point(
+        sum(layout.cell_center(a).x for a in placed_assets)
+        / len(placed_assets),
+        sum(layout.cell_center(a).y for a in placed_assets)
+        / len(placed_assets),
+    )
+
+
 def local_density_adjustment(
     layout: Layout,
     assets: SecurityAssets,
@@ -161,7 +177,7 @@ def local_density_adjustment(
         keep_blockages: Leave the last iteration's blockages registered on
             the layout (useful for inspection; the flow clears them).
         attract_point: Override for the asset-attraction point (normally
-            the placed assets' centroid at call time).  Resume-style
+            :func:`asset_centroid` at call time).  Resume-style
             callers — a run continuing from an ``n_iter - j`` prefix —
             must pass the original layout's centroid so the continued
             iterations reproduce the longer run exactly.
@@ -180,21 +196,10 @@ def local_density_adjustment(
     tile_h = core.height / n
     # Density flow converges on the asset bank: arrivals consume the free
     # sites nearest the assets first.
-    if attract_point is not None:
-        attract = attract_point
-    else:
-        placed_assets = [a for a in assets if layout.is_placed(a)]
-        if placed_assets:
-            from repro.geometry import Point
-
-            attract = Point(
-                sum(layout.cell_center(a).x for a in placed_assets)
-                / len(placed_assets),
-                sum(layout.cell_center(a).y for a in placed_assets)
-                / len(placed_assets),
-            )
-        else:
-            attract = None
+    attract = (
+        attract_point if attract_point is not None
+        else asset_centroid(layout, assets)
+    )
     # Blockage names carry no iteration index: each iteration starts from
     # a cleared set, and a run continued from a cached prefix restarts
     # its count, which must not change what the report names.

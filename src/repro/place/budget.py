@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.geometry import Interval
+from repro.kernels.legalize import _free_cumsum
 from repro.layout.blockage import PlacementBlockage
 from repro.layout.layout import Layout
 
@@ -27,14 +28,12 @@ class BlockageBudget:
         capacity = sum(len(iv) for iv in self._spans.values())
         self.capacity = capacity
         self.max_used = int(capacity * blockage.max_density)
+        # Occupied sites of a span = its length minus its free sites,
+        # read off the row's cached free-site cumsum.
         self.used = 0
         for row, iv in self._spans.items():
-            for p in layout.occupancy[row]:
-                if p.start >= iv.hi:
-                    break
-                lo, hi = max(p.start, iv.lo), min(p.end, iv.hi)
-                if hi > lo:
-                    self.used += hi - lo
+            cc = _free_cumsum(layout.occupancy[row])
+            self.used += len(iv) - int(cc[iv.hi] - cc[iv.lo])
 
     @property
     def rows(self) -> Iterator[int]:

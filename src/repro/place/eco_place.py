@@ -15,9 +15,11 @@ from statistics import median
 from typing import List, Optional, Set
 
 from repro import obs
+from repro.errors import NetlistError
 from repro.geometry import Point
 from repro.kernels.legalize import receiving_target
 from repro.layout.layout import Layout
+from repro.layout.pins import pin_table
 from repro.place.budget import BudgetSet, build_budgets
 from repro.place.legalize import _try_rows_outward
 
@@ -44,20 +46,35 @@ class EcoPlacementReport:
 
 
 def connected_median(layout: Layout, instance_name: str) -> Optional[Point]:
-    """Median position of all pins connected to ``instance_name``'s nets.
+    """Median position of the pins on ``instance_name``'s distinct nets.
 
-    The classic optimal-region estimate for single-cell placement.  Returns
-    ``None`` for unconnected cells (e.g. fillers).
+    The classic optimal-region estimate for single-cell placement: the
+    median x and, separately, the median y over every pin of every net
+    the cell connects to, plus those nets' positioned ports.  Each net
+    counts once however many of the cell's pins sit on it, and the
+    cell's own pin stays in the multiset, once per distinct net.
+    Returns ``None`` for unconnected cells (e.g. fillers).
+
+    Raises:
+        LayoutError: When a pin on those nets is not placed.
     """
-    inst = layout.netlist.instance(instance_name)
-    xs: List[float] = []
-    ys: List[float] = []
-    for net_name in set(inst.connections.values()):
-        for p in layout.net_pin_points(net_name):
-            xs.append(p.x)
-            ys.append(p.y)
-    # Remove this cell's own contribution once per connected net; cheaper
-    # and close enough: with it included the median barely shifts.
+    table = pin_table(layout.netlist)
+    try:
+        nets = table.inst_nets[table.index[instance_name]]
+    except KeyError:
+        raise NetlistError(f"unknown instance {instance_name!r}") from None
+    net_pins = table.net_pins
+    xs, ys = layout.centers_of([i for k in nets for i in net_pins[k]])
+    ports = layout.port_positions
+    for k in nets:
+        driver_port = table.net_driver_port[k]
+        if driver_port is not None and driver_port in ports:
+            xs.append(ports[driver_port].x)
+            ys.append(ports[driver_port].y)
+        for port in table.net_sink_ports[k]:
+            if port in ports:
+                xs.append(ports[port].x)
+                ys.append(ports[port].y)
     if not xs:
         return None
     return Point(median(xs), median(ys))

@@ -56,6 +56,16 @@ class TestPlacementOps:
         layout.move_to("inv0", 1, 7)
         assert layout.placement("inv0").row == 1
 
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_move_to_row_outside_core_rejected(self, chain_netlist, tech, row):
+        layout = Layout(chain_netlist, tech, num_rows=2, sites_per_row=30)
+        layout.place("inv0", 0, 3)
+        with pytest.raises(LayoutError, match="out of range"):
+            layout.move_to("inv0", row, 0)
+        assert layout.placement("inv0").row == 0
+        assert [p.name for p in layout.occupancy[1]] == []
+        layout.validate()
+
     def test_cell_rect_and_center(self, small_layout, tech):
         rect = small_layout.cell_rect("inv0")
         assert rect.width == pytest.approx(2 * tech.site_width)  # INV_X1
@@ -139,6 +149,13 @@ class TestCloneAndValidate:
             small_layout.placement("inv1")
         )(row=3, start=55)
         with pytest.raises(LayoutError):
+            small_layout.validate()
+
+    @pytest.mark.parametrize("slot", ["_row", "_start", "_cx", "_cy"])
+    def test_validate_catches_a_stale_position_slot(self, small_layout, slot):
+        i = small_layout._index["inv2"]
+        getattr(small_layout, slot)[i] += 1
+        with pytest.raises(LayoutError, match="'inv2'"):
             small_layout.validate()
 
     def test_gap_graph_total_weight(self, small_layout):
