@@ -50,13 +50,12 @@ from repro.errors import FlowError, ReproError
 from repro.reporting.tables import format_table
 
 
-def _build_guard(design, incremental: bool = True, check_invariants: bool = False):
+def _build_guard(design, check_invariants: bool = False):
     return GDSIIGuard(
         design.layout,
         design.constraints,
         design.assets,
         baseline_routing=design.routing,
-        incremental=incremental,
         check_invariants=check_invariants,
     )
 
@@ -124,11 +123,7 @@ def cmd_harden(args: argparse.Namespace) -> int:
         lda_n_iter=args.lda_iter,
         rws_scales=_parse_scales(args.rws, d.technology.num_layers),
     )
-    guard = _build_guard(
-        d,
-        incremental=not args.no_incremental,
-        check_invariants=args.check_invariants,
-    )
+    guard = _build_guard(d, check_invariants=args.check_invariants)
     result = guard.run(config)
     if args.check_invariants:
         print(
@@ -171,7 +166,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         timeout_s=args.eval_timeout, max_retries=args.max_retries
     )
     d = build_design(args.design)
-    guard = _build_guard(d, incremental=not args.no_incremental)
+    guard = _build_guard(d)
     explorer = ParetoExplorer(
         guard,
         config=NSGA2Config(
@@ -244,14 +239,20 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0 if not report.success else 1
 
 
-def _load_front_genomes(path: str) -> list:
-    """Genome dicts from an exploration-front JSON file.
+def _load_front_configs(path: str) -> List[FlowConfig]:
+    """The flow configs of an exploration-front JSON file.
 
     Accepts either a bare list of front entries or an object with a
     ``front`` key (the shape ``repro jobs <id> --result`` prints);
     entries may be full individuals (``{"genome": ...}``) or bare
-    genome dicts.
+    genome objects.
+
+    Raises:
+        FlowError: Naming the file (and the entry index) when it cannot
+            be read or an entry is not a genome.
     """
+    from repro.resilience.checkpoint import decode_flow_config
+
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -262,10 +263,24 @@ def _load_front_genomes(path: str) -> list:
             f"--front {path}: expected a non-empty JSON list of front "
             f"entries (or an object with a 'front' list)"
         )
-    return [
-        e["genome"] if isinstance(e, dict) and "genome" in e else e
-        for e in entries
-    ]
+    configs = []
+    for i, entry in enumerate(entries):
+        genome = entry.get("genome", entry) if isinstance(entry, dict) else entry
+        if not isinstance(genome, dict):
+            what = f"entry {i}" if genome is entry else f"entry {i}'s genome"
+            raise FlowError(
+                f"--front {path}: {what} must be a JSON object, "
+                f"got {type(genome).__name__}"
+            )
+        try:
+            configs.append(decode_flow_config(genome))
+        except ReproError as exc:
+            detail = exc.__cause__ if exc.__cause__ is not None else exc
+            raise FlowError(
+                f"--front {path}: entry {i}: malformed genome "
+                f"{genome!r} ({detail!r})"
+            ) from None
+    return configs
 
 
 def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
@@ -275,7 +290,6 @@ def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
         attack_table,
         hardened_regressions,
     )
-    from repro.resilience.checkpoint import decode_flow_config
     from repro.resilience.supervisor import SupervisionConfig
     from repro.timing.sta import run_sta
 
@@ -295,8 +309,8 @@ def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
         ))
     if args.front:
         hardened_configs.extend(
-            (f"front-{i}", decode_flow_config(dict(genome)))
-            for i, genome in enumerate(_load_front_genomes(args.front))
+            (f"front-{i}", config)
+            for i, config in enumerate(_load_front_configs(args.front))
         )
     if hardened_configs:
         guard = _build_guard(d)
@@ -425,8 +439,6 @@ def cmd_defend(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    import time
-
     from repro import obs
     from repro.optimize.explorer import ParetoExplorer
     from repro.optimize.nsga2 import NSGA2Config
@@ -442,40 +454,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
 
-    def explore_once():
-        # Fresh explorer (empty memo table) so both modes pay for every
-        # unique chromosome; the guard's op-level caches persist, which is
-        # the incremental path's whole point.
-        explorer = ParetoExplorer(
-            guard, config=ga_config, processes=args.processes
-        )
-        t0 = time.perf_counter()
-        result = explorer.explore()
-        return result, time.perf_counter() - t0
-
     trace_path = args.trace or f"{args.design}_profile.jsonl"
     obs.enable(trace_path=trace_path)
     with obs.timed("profile", design=args.design):
         with obs.timed("profile.build_design"):
             d = build_design(args.design)
         with obs.timed("profile.baseline"):
-            guard = _build_guard(d, incremental=not args.no_incremental)
-        mode = "full" if args.no_incremental else "incremental"
-        with obs.timed("profile.explore", mode=mode):
-            result, elapsed = explore_once()
-        speedup = None
-        if not args.no_incremental:
-            # Oracle pass: same GA trajectory on the full-recompute path,
-            # for the incremental-vs-full per-evaluation speedup.
-            guard.incremental = False
-            with obs.timed("profile.explore", mode="full"):
-                result_full, elapsed_full = explore_once()
-            guard.incremental = True
-            per_inc = elapsed / max(result.evaluations, 1)
-            per_full = elapsed_full / max(result_full.evaluations, 1)
-            if per_inc > 0:
-                speedup = per_full / per_inc
-                obs.gauge_set("flow.incremental.speedup", speedup)
+            guard = _build_guard(d)
+        with obs.timed("profile.explore"):
+            result = ParetoExplorer(
+                guard, config=ga_config, processes=args.processes
+            ).explore()
     obs.disable()
     snapshot = obs.get_metrics().snapshot()
     print(
@@ -494,12 +483,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"{result.cache_requests} GA lookups, "
         f"memo hit rate {result.cache_hit_rate:.1%}"
     )
-    if speedup is not None:
-        print(
-            f"incremental     : {elapsed / max(result.evaluations, 1):.3f} "
-            f"s/eval vs full {elapsed_full / max(result_full.evaluations, 1):.3f}"
-            f" s/eval — speedup {speedup:.1f}x"
-        )
     print(f"trace           : {trace_path}")
     if args.json:
         out = write_metrics_json(
@@ -511,7 +494,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "generations": args.generations,
                 "evaluations": result.evaluations,
                 "cache_hit_rate": result.cache_hit_rate,
-                "incremental_speedup": speedup,
             },
         )
         print(f"metrics json    : {out}")
@@ -763,8 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rws", default="1.0",
                    help="one scale for all layers or K comma-separated")
     p.add_argument("--out", help="directory for DEF/GDSII/Verilog export")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="force the full-recompute evaluation path")
     p.add_argument("--check-invariants", action="store_true",
                    help="paranoid mode: re-run the layout invariant lint "
                         "after every ECO operator and fail on violations")
@@ -776,8 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--processes", type=int, default=0)
-    p.add_argument("--no-incremental", action="store_true",
-                   help="force the full-recompute evaluation path")
     p.add_argument("--checkpoint-dir",
                    help="run directory for per-generation checkpoints")
     p.add_argument("--resume", action="store_true",
@@ -857,9 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace",
                    help="JSONL event-trace path (default <design>_profile.jsonl)")
     p.add_argument("--json", help="also write the metrics snapshot as JSON")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="profile only the full-recompute path "
-                        "(skips the speedup comparison)")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(

@@ -23,9 +23,9 @@ from repro.core.local_density import (
     local_density_adjustment,
 )
 from repro.core.params import FlowConfig
-from repro.core.routing_width import routing_width_scaling
 from repro.drc.checker import check_drc
 from repro.errors import FlowError
+from repro.incremental.engine import DeltaEvaluator
 from repro.layout.layout import Layout
 from repro.power.power import analyze_power
 from repro.resilience import faults
@@ -99,16 +99,21 @@ class FlowResult:
 
 @dataclass
 class _OpCacheEntry:
-    """Per-operator-key incremental state: the deterministic placement
-    result and the delta evaluator holding its timed/scanned state."""
+    """One operator key's memo entry: the deterministic placement result
+    and the evaluator that routes, times and scans it."""
 
     layout: Layout
     op_report: Union[CellShiftReport, LdaReport]
-    evaluator: "object"
+    evaluator: DeltaEvaluator
 
 
 class GDSIIGuard:
     """The hardening flow bound to one baseline design.
+
+    Both ECO placement operators are deterministic functions of their
+    config genes, so :meth:`run` memoizes one placed layout per operator
+    key and routes, times and scans it cold under each candidate's RWS
+    scales.
 
     Args:
         baseline: The finalized baseline layout L_base (never mutated).
@@ -119,19 +124,11 @@ class GDSIIGuard:
         alpha: Site/track weighting of the security score (paper: 0.5).
         n_drc: DRC hard bound N_DRC (paper: 20).
         beta_power: Power hard bound multiplier (paper: 1.2).
-        incremental: Evaluate via the delta engine (:mod:`repro.
-            incremental`).  Both ECO placement operators are deterministic
-            functions of their config genes, so candidates sharing an
-            operator key reuse one placed layout: each evaluation routes
-            it cold under its own RWS scales and delta-updates STA and
-            the security scan.  Results equal the full pipeline by
-            construction.  Set ``False`` to force the full recompute
-            (the differential tests' oracle).
         check_invariants: Paranoid mode — re-run the :mod:`repro.lint`
             invariant rules after every ECO operator stage (placement op
-            and routing, on both evaluation paths) and raise
-            :class:`FlowError` on any error-severity violation.  Costs
-            one full rule sweep per stage; off by default.
+            and routing) and raise :class:`FlowError` on any
+            error-severity violation.  Costs one full rule sweep per
+            stage; off by default.
     """
 
     def __init__(
@@ -144,7 +141,6 @@ class GDSIIGuard:
         alpha: float = DEFAULT_ALPHA,
         n_drc: int = DEFAULT_N_DRC,
         beta_power: float = DEFAULT_BETA_POWER,
-        incremental: bool = True,
         check_invariants: bool = False,
     ) -> None:
         assets.validate_against(baseline.netlist)
@@ -155,7 +151,6 @@ class GDSIIGuard:
         self.alpha = alpha
         self.n_drc = n_drc
         self.beta_power = beta_power
-        self.incremental = incremental
         self.check_invariants = check_invariants
         #: number of paranoid-mode lint sweeps run / violations they found
         #: (warnings included; errors raise immediately).
@@ -325,90 +320,18 @@ class GDSIIGuard:
     def run(self, config: FlowConfig) -> FlowResult:
         """Evaluate the flow at parameter vector ``config``.
 
+        Candidates sharing an operator key reuse the memoized placed
+        layout; each evaluation re-routes it under its own RWS scales and
+        re-times and re-scans it cold.
+
         Returns:
-            A :class:`FlowResult`.  On the full path the layout is a
-            fresh clone of the baseline; on the incremental path it is
-            the operator-key cache's shared layout (treat as read-only).
+            A :class:`FlowResult` whose layout is the memo entry's shared
+            layout (treat as read-only).
 
         Raises:
             FlowError: If an operator structurally modified the netlist
                 (threat-model invariant) or the config is malformed.
         """
-        if self.incremental:
-            return self._run_incremental(config)
-        return self._run_full(config)
-
-    def _run_full(self, config: FlowConfig) -> FlowResult:
-        """The full-recompute pipeline — the incremental path's oracle."""
-        t0 = time.perf_counter()
-        with obs.timed("flow.run", op=config.op_select):
-            with obs.timed("flow.preprocess"):
-                layout = self.baseline.clone()
-                self.preprocess(layout)
-
-            with obs.timed("flow.place_op", op=config.op_select):
-                op_report = self._apply_placement_op(layout, config)
-            self._assert_invariants(layout, f"place_op:{config.op_select}")
-
-            if faults.is_active():
-                faults.maybe_flow_fault()
-
-            with obs.timed("flow.route"):
-                ndr, routing = routing_width_scaling(layout, config.rws_scales)
-            self._assert_invariants(layout, "route", routing=routing)
-
-            if layout.netlist.signature() != self._netlist_signature:
-                raise FlowError(
-                    "flow operator modified the netlist — threat-model violation"
-                )
-            layout.validate()
-
-            with obs.timed("flow.sta"):
-                sta = run_sta(layout, self.constraints, routing=routing)
-            with obs.timed("flow.security"):
-                security = measure_security(
-                    layout,
-                    sta,
-                    self.assets,
-                    routing=routing,
-                    thresh_er=self.thresh_er,
-                )
-                score = security_score(
-                    security, self.baseline_security, self.alpha
-                )
-            with obs.timed("flow.power"):
-                power = analyze_power(layout, self.constraints, routing).total
-            with obs.timed("flow.drc"):
-                drc = check_drc(layout, routing).count
-        feasible = (
-            drc <= self.n_drc and power <= self.beta_power * self.baseline_power
-        )
-        obs.count("flow.evaluations")
-        return FlowResult(
-            config=config,
-            layout=layout,
-            routing=routing,
-            security=security,
-            score=score,
-            tns=sta.tns,
-            wns=sta.wns,
-            power=power,
-            drc_count=drc,
-            feasible=feasible,
-            op_report=op_report,
-            runtime_s=time.perf_counter() - t0,
-        )
-
-    def _run_incremental(self, config: FlowConfig) -> FlowResult:
-        """Delta-evaluation pipeline — equal to :meth:`_run_full`.
-
-        Candidates sharing an operator key reuse the cached placed
-        layout plus its :class:`~repro.incremental.engine.DeltaEvaluator`;
-        only the cold RWS route, the affected timing cones, and the
-        dirtied security rows are recomputed.
-        """
-        from repro.incremental.engine import DeltaEvaluator
-
         t0 = time.perf_counter()
         with obs.timed("flow.run", op=config.op_select):
             k = self.baseline.technology.num_layers
@@ -446,20 +369,17 @@ class GDSIIGuard:
             try:
                 if faults.is_active():
                     faults.maybe_flow_fault()
-                res = entry.evaluator.evaluate(ndr=ndr)
+                res = entry.evaluator.evaluate(ndr)
             except BaseException:
-                # An evaluator that died mid-delta may leave the cached
-                # timed/scanned state half-updated; drop the entry so a
-                # supervised retry rebuilds it instead of reusing corrupt
-                # state.  BaseException on purpose: a
-                # KeyboardInterrupt/SystemExit mid-delta corrupts the
-                # cache exactly the same way, and everything is re-raised
-                # unconditionally.
+                # Drop the entry so a supervised retry rebuilds it from
+                # the baseline instead of trusting state an evaluation
+                # died in.  BaseException on purpose: a KeyboardInterrupt
+                # or SystemExit mid-evaluation is no different, and
+                # everything is re-raised unconditionally.
                 self._op_cache.pop(key, None)
                 raise
-            self._assert_invariants(layout, "route", routing=res.routing)
             routing = res.routing
-            sta = res.sta
+            self._assert_invariants(layout, "route", routing=routing)
             security = SecurityMetrics.from_report(res.security)
             score = security_score(security, self.baseline_security, self.alpha)
             with obs.timed("flow.power"):
@@ -476,8 +396,8 @@ class GDSIIGuard:
             routing=routing,
             security=security,
             score=score,
-            tns=sta.tns,
-            wns=sta.wns,
+            tns=res.sta.tns,
+            wns=res.sta.wns,
             power=power,
             drc_count=drc,
             feasible=feasible,

@@ -41,10 +41,6 @@ class Placement:
     start: int
 
 
-#: Row/start of an unplaced slot.
-_NO_SITE = -1
-
-
 class Layout:
     """A placed design: rows, instance placements, blockages, IO pins."""
 
@@ -95,8 +91,6 @@ class Layout:
         #: the netlist's pin-table name → index map (shared, append-only).
         self._index: Dict[str, int] = instance_indices(netlist)
         n = len(self._index)
-        self._row: List[int] = [_NO_SITE] * n
-        self._start: List[int] = [_NO_SITE] * n
         self._cx: List[float] = [math.nan] * n
         self._cy: List[float] = [math.nan] * n
         for name, pl in self._placements.items():
@@ -176,7 +170,6 @@ class Layout:
         self.occupancy[pl.row].remove(instance_name, start_hint=pl.start)
         del self._placements[instance_name]
         i = self._index[instance_name]
-        self._row[i] = self._start[i] = _NO_SITE
         self._cx[i] = self._cy[i] = math.nan
         return pl
 
@@ -215,13 +208,13 @@ class Layout:
         self._write_slot(instance_name, row, start, inst.width_sites)
 
     def _write_slot(self, name: str, row: int, start: int, width: int) -> None:
-        """Record ``name`` at ``(row, start)`` in the position lists.
+        """Record the centre of ``name`` at ``(row, start)`` in the lists.
 
         The centre is ``span_rect(row, start, width).center``, taken from
         the centre tables.
         """
         i = self._index.get(name)
-        if i is None or i >= len(self._row):
+        if i is None or i >= len(self._cx):
             i = self._add_slots(name)
         start_cx = self._start_cx.get(width)
         if start_cx is None:
@@ -229,8 +222,6 @@ class Layout:
                 self.span_rect(0, s, width).center.x
                 for s in range(self.sites_per_row)
             ]
-        self._row[i] = row
-        self._start[i] = start
         self._cx[i] = start_cx[start]
         self._cy[i] = self._row_cy[row]
 
@@ -241,10 +232,8 @@ class Layout:
         """
         self._index = instance_indices(self.netlist)
         i = self._index[name]
-        grow = i + 1 - len(self._row)
+        grow = i + 1 - len(self._cx)
         if grow > 0:
-            self._row.extend([_NO_SITE] * grow)
-            self._start.extend([_NO_SITE] * grow)
             self._cx.extend([math.nan] * grow)
             self._cy.extend([math.nan] * grow)
         return i
@@ -306,7 +295,7 @@ class Layout:
         if math.isnan(sum(xs)):
             names = pin_table(self.netlist).names
             for i in indices:
-                if i >= len(self._row) or self._row[i] == _NO_SITE:
+                if i >= len(cx) or math.isnan(cx[i]):
                     raise LayoutError(f"{names[i]!r} is not placed")
         cy = self._cy
         return xs, [cy[i] for i in indices]
@@ -479,8 +468,6 @@ class Layout:
         other.blockages = dict(self.blockages)
         other.fixed = set(self.fixed)
         other.port_positions = dict(self.port_positions)
-        other._row = list(self._row)
-        other._start = list(self._start)
         other._cx = list(self._cx)
         other._cy = list(self._cy)
         return other
@@ -505,26 +492,21 @@ class Layout:
     def _validate_slots(self) -> None:
         """Check the position lists against ``_placements``."""
         names = pin_table(self.netlist).names
-        n = len(self._row)
-        if not (len(self._start) == len(self._cx) == len(self._cy) == n
-                <= len(names)):
+        n = len(self._cx)
+        if not len(self._cy) == n <= len(names):
             raise LayoutError("position lists have inconsistent lengths")
         for i, name in enumerate(names):
             pl = self._placements.get(name)
             if pl is None:
                 if i < n and not (
-                    self._row[i] == self._start[i] == _NO_SITE
-                    and math.isnan(self._cx[i])
-                    and math.isnan(self._cy[i])
+                    math.isnan(self._cx[i]) and math.isnan(self._cy[i])
                 ):
                     raise LayoutError(f"position slot of {name!r} is stale")
                 continue
             center = self.span_rect(
                 pl.row, pl.start, self.netlist.instance(name).width_sites
             ).center
-            if i >= n or (
-                self._row[i], self._start[i], self._cx[i], self._cy[i]
-            ) != (pl.row, pl.start, center.x, center.y):
+            if i >= n or (self._cx[i], self._cy[i]) != (center.x, center.y):
                 raise LayoutError(
                     f"position slot of {name!r} desynchronized"
                 )

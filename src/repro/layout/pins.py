@@ -10,9 +10,9 @@ per netlist as integers:
 * each instance keeps its distinct nets, once each however many of its
   pins sit on one net.
 
-:class:`~repro.layout.layout.Layout` keeps every instance's row, start
-and centre in flat lists under the same indices, so a read is a list
-gather instead of a ``Rect`` and a ``Point`` per pin.
+:class:`~repro.layout.layout.Layout` keeps every instance's centre in
+flat lists under the same indices, so a read is a list gather instead of
+a ``Rect`` and a ``Point`` per pin.
 
 A netlist only ever appends instances, so an index never moves: a table
 rebuilt after the netlist changed numbers the old instances exactly as

@@ -15,7 +15,7 @@ Entry points:
   ``--fail-on`` exit-code gate;
 * ``GDSIIGuard(..., check_invariants=True)`` — paranoid in-flow mode
   re-validating the layout after every ECO operator;
-* the incremental/chaos test harnesses use it as their legality oracle.
+* the chaos and red-team test harnesses use it as their legality oracle.
 
 The codebase-level determinism rules (DET, AST checks over the
 repository's own sources) live in :mod:`repro.analysis`, not here —

@@ -22,7 +22,7 @@ Kinds:
   evaluation starts (models a flaky evaluator dependency).
 * ``"flow-error"`` — an :class:`InjectedFault` raised *inside*
   :meth:`repro.core.flow.GDSIIGuard.run`, mid-evaluation (models an
-  evaluator crash that may leave incremental caches half-built).
+  evaluator crash after the operator memo entry was built).
 * ``"interrupt"`` — raised at a run boundary (an explorer generation or
   a campaign batch) right after its checkpoint and progress event
   (``individual`` is ignored); simulates the process being killed

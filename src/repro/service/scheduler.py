@@ -408,8 +408,8 @@ class Scheduler:
         """Thread-side: build the guard and run the job (no loop state).
 
         Each execution gets a **fresh guard** — concurrent jobs on the
-        same design must not share mutable evaluator state (incremental
-        caches), or the differential bitwise contract would hinge on
+        same design must not share mutable evaluator state (the operator
+        memo), or the differential bitwise contract would hinge on
         interleaving.  Cross-job reuse happens only through the
         immutable shared evaluation cache.
         """

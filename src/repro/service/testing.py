@@ -12,8 +12,7 @@ the fake evaluator importable from the installed package.
 ``FakeGuard`` implements exactly the slice of the ``GDSIIGuard``
 protocol the explorer and supervisor touch: ``run(config)`` returning
 an object with ``objectives`` and ``constraint_violation``, plus the
-constraint attributes (``n_drc``/``beta_power``/``baseline_power``) and
-the ``incremental`` flag.
+constraint attributes (``n_drc``/``beta_power``/``baseline_power``).
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class FakeGuard:
     n_drc = 20
     beta_power = 1.2
     baseline_power = 1.0
-    incremental = True
 
     #: Optional per-evaluation sleep.  Changes *when* results arrive,
     #: never *what* they are, so bitwise oracles still hold — chaos

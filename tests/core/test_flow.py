@@ -1,10 +1,27 @@
 """Tests for the GDSII-Guard flow."""
 
+import random
+
 import pytest
 
 from repro import obs
+from repro.bench.generators import GeneratorParams, generate_design
 from repro.core.flow import GDSIIGuard
-from repro.core.params import FlowConfig, ParameterSpace
+from repro.core.local_density import asset_centroid
+from repro.core.params import (
+    LDA_ITER_CHOICES,
+    RWS_SCALE_CHOICES,
+    FlowConfig,
+    ParameterSpace,
+)
+from repro.errors import InjectedFault
+from repro.place.global_place import GlobalPlacementSpec, global_place
+from repro.resilience import faults
+from repro.route.router import global_route
+from repro.security.assets import annotate_key_assets
+from repro.tech.library import nangate45_library
+from repro.tech.technology import nangate45_like
+from repro.timing.constraints import TimingConstraints
 
 
 @pytest.fixture(scope="module")
@@ -100,16 +117,15 @@ class TestLdaPrefixChaining:
         d = misty_design
         scales = tuple([1.0] * 10)
 
-        def make_guard(incremental):
+        def make_guard():
             return GDSIIGuard(
                 d.layout,
                 d.constraints,
                 d.assets,
                 baseline_routing=d.routing,
-                incremental=incremental,
             )
 
-        chained_guard = make_guard(True)
+        chained_guard = make_guard()
         chained_guard.run(FlowConfig("LDA", 4, 1, scales))
         obs.enable()
         try:
@@ -121,7 +137,7 @@ class TestLdaPrefixChaining:
             obs.disable()
             obs.get_metrics().reset()
         assert chains == 1
-        full = make_guard(False).run(FlowConfig("LDA", 4, 3, scales))
+        full = make_guard().run(FlowConfig("LDA", 4, 3, scales))
 
         def iterations(result):
             return [
@@ -132,3 +148,180 @@ class TestLdaPrefixChaining:
         assert chained.layout.placements == full.layout.placements
         assert chained.objectives == full.objectives
         assert iterations(chained) == iterations(full)
+
+
+# --------------------------------------------------------------------- #
+# The operator memo: a warm guard must equal a fresh guard per config.
+# --------------------------------------------------------------------- #
+
+#: Generator seeds of the three memo designs.
+MEMO_SEEDS = (7, 19, 31)
+
+#: Exploitable-region threshold small enough that the tiny designs have
+#: regions (the default of 20 sites would report none).
+MEMO_THRESH_ER = 5
+
+#: Tight clock so the tiny designs carry real negative slack and the
+#: TNS/WNS comparison is not trivially 0 == 0.
+MEMO_CLOCK_PERIOD = 0.9
+
+
+def _tiny_design(seed, cluster_assets=True):
+    """A tiny generated design, placed and routed."""
+    params = GeneratorParams(
+        n_state=12, n_key=8, cone_inputs=3, cone_depth=3,
+        n_inputs=8, n_outputs=8, seed=seed,
+    )
+    netlist = generate_design(f"diff{seed}", nangate45_library(), params)
+    assets = annotate_key_assets(netlist)
+    layout = global_place(
+        netlist,
+        nangate45_like(num_layers=10),
+        GlobalPlacementSpec(
+            target_utilization=0.6,
+            seed=seed,
+            clustered=tuple(assets) if cluster_assets else (),
+        ),
+    )
+    return {
+        "layout": layout,
+        "constraints": TimingConstraints(clock_period=MEMO_CLOCK_PERIOD),
+        "assets": assets,
+        "routing": global_route(layout),
+    }
+
+
+@pytest.fixture(scope="module", params=MEMO_SEEDS)
+def memo_design(request):
+    """One tiny placed and routed design per generator seed."""
+    return _tiny_design(request.param)
+
+
+def _memo_guard(design):
+    return GDSIIGuard(
+        design["layout"],
+        design["constraints"],
+        design["assets"],
+        baseline_routing=design["routing"],
+        thresh_er=MEMO_THRESH_ER,
+    )
+
+
+def _flow_key(result):
+    return (
+        result.score,
+        result.tns,
+        result.wns,
+        result.power,
+        result.drc_count,
+        result.feasible,
+        result.security.er_sites,
+        result.security.er_tracks,
+        result.security.num_regions,
+        result.op_report,
+    )
+
+
+def _memo_configs(rng, keys):
+    """One config per ``(op, n, n_iter)`` key, each with fresh RWS scales."""
+    return [
+        FlowConfig(
+            op, n, n_iter, tuple(rng.choice(RWS_SCALE_CHOICES) for _ in range(10))
+        )
+        for op, n, n_iter in keys
+    ]
+
+
+class TestOperatorMemo:
+    """Memo hits and LDA prefix chains of one warm guard vs fresh guards."""
+
+    def _assert_memo_matches(self, design, configs):
+        warm = _memo_guard(design)
+        obs.enable()
+        try:
+            results = [warm.run(config) for config in configs]
+            metrics = obs.get_metrics()
+            hits = metrics.counter("flow.incremental.op_cache_hits").value
+            chains = metrics.counter("flow.incremental.op_prefix_chains").value
+        finally:
+            obs.disable()
+            obs.get_metrics().reset()
+        # the sequence must exercise both memo paths to mean anything
+        assert hits >= 1 and chains >= 1
+        for config, result in zip(configs, results):
+            fresh = _memo_guard(design).run(config)
+            assert _flow_key(result) == _flow_key(fresh), config
+            assert result.layout.placements == fresh.layout.placements, config
+
+    def test_memo_configs_fast(self, memo_design):
+        # LDA(2, 1) repeats under new scales, LDA(2, 3) chains off it,
+        # and CS repeats.
+        keys = [("LDA", 2, 1), ("CS", 2, 1), ("LDA", 2, 1), ("LDA", 2, 3),
+                ("CS", 2, 1)]
+        self._assert_memo_matches(
+            memo_design, _memo_configs(random.Random(303), keys)
+        )
+
+    @pytest.mark.slow
+    def test_memo_configs_bulk(self, memo_design):
+        rng = random.Random(404)
+        pool = [("CS", 2, 1)] + [
+            ("LDA", n, j) for n in (2, 4) for j in LDA_ITER_CHOICES
+        ]
+        keys = [rng.choice(pool) for _ in range(24)]
+        self._assert_memo_matches(memo_design, _memo_configs(rng, keys))
+
+
+class TestPrefixAttraction:
+    """A chained LDA key keeps attracting towards the baseline assets."""
+
+    def test_chain_after_the_assets_moved(self):
+        # Unclustered assets on this design leave LDA(2, 1) moving them,
+        # so continuing towards their new centroid would diverge.
+        design = _tiny_design(5, cluster_assets=False)
+        scales = tuple([1.0] * 10)
+        guard = _memo_guard(design)
+        prefix = guard.run(FlowConfig("LDA", 2, 1, scales))
+        assets = design["assets"]
+        assert asset_centroid(prefix.layout, assets) != asset_centroid(
+            design["layout"], assets
+        )
+        chained = guard.run(FlowConfig("LDA", 2, 3, scales))
+        fresh = _memo_guard(design).run(FlowConfig("LDA", 2, 3, scales))
+        assert chained.layout.placements == fresh.layout.placements
+        assert _flow_key(chained) == _flow_key(fresh)
+
+
+class TestMemoFaults:
+    """A run that dies after building its memo entry leaves no entry."""
+
+    def test_flow_error_drops_the_memo_entry(self, tiny_design):
+        d = tiny_design
+
+        def make_guard():
+            return GDSIIGuard(
+                d["layout"], d["constraints"], d["assets"],
+                baseline_routing=d["routing"],
+            )
+
+        config = FlowConfig("LDA", 2, 2, tuple([1.2] * 10))
+        guard = make_guard()
+        faults.install(faults.FaultPlan([faults.FaultSpec(0, "flow-error")]))
+        obs.enable()
+        try:
+            with faults.evaluation_scope(0, 0, 0, in_worker=False):
+                with pytest.raises(InjectedFault, match="flow-error"):
+                    guard.run(config)
+            with faults.evaluation_scope(0, 0, 1, in_worker=False):
+                retry = guard.run(config)
+            misses = obs.get_metrics().counter(
+                "flow.incremental.op_cache_misses"
+            ).value
+        finally:
+            faults.clear()
+            obs.disable()
+            obs.get_metrics().reset()
+        assert misses == 2  # the retry placed the operator key again
+        fresh = make_guard().run(config)
+        assert _flow_key(retry) == _flow_key(fresh)
+        assert retry.layout.placements == fresh.layout.placements

@@ -151,7 +151,7 @@ class TestCloneAndValidate:
         with pytest.raises(LayoutError):
             small_layout.validate()
 
-    @pytest.mark.parametrize("slot", ["_row", "_start", "_cx", "_cy"])
+    @pytest.mark.parametrize("slot", ["_cx", "_cy"])
     def test_validate_catches_a_stale_position_slot(self, small_layout, slot):
         i = small_layout._index["inv2"]
         getattr(small_layout, slot)[i] += 1

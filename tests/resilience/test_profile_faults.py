@@ -30,9 +30,7 @@ def counter_value(output: str, name: str) -> int:
 class TestProfileUnderFaults:
     def test_resilience_counters_match_injected_faults(self, tmp_path):
         plan_path = tmp_path / "plan.json"
-        # --no-incremental runs explore exactly once, so each attempt-0
-        # spec fires exactly once (the incremental mode's oracle pass
-        # would re-fire them and double the counters)
+        # profile explores once, so each attempt-0 spec fires exactly once
         plan_path.write_text(json.dumps({
             "faults": [
                 {"generation": 0, "individual": 0, "attempt": 0,
@@ -49,7 +47,7 @@ class TestProfileUnderFaults:
             [
                 sys.executable, "-m", "repro.cli", "profile", "PRESENT",
                 "--population", "4", "--generations", "1", "--seed", "3",
-                "--processes", "2", "--no-incremental",
+                "--processes", "2",
                 "--trace", str(tmp_path / "trace.jsonl"),
                 "--json", str(tmp_path / "metrics.json"),
             ],

@@ -143,7 +143,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "at least one attempt" in err
 
-    @pytest.mark.parametrize("content", [None, "{not json"])
+    @pytest.mark.parametrize("content", [
+        None,
+        "{not json",
+        "[1, 2]",
+        '[{"genome": "x"}]',
+        '[{"op_select": "CS"}]',
+    ])
     def test_attack_unreadable_front_exits_2(self, tmp_path, capsys,
                                              content):
         front = tmp_path / "front.json"
