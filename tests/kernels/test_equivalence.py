@@ -61,7 +61,7 @@ from tests.oracles import routegrid as oracle_rg
 from tests.oracles import router as oracle_rt
 from tests.oracles import sta as oracle_sta
 
-#: Independent generator seeds, matching the differential harness.
+#: Independent generator seeds, matching the operator-memo test's designs.
 DESIGN_SEEDS = (7, 19, 31)
 
 THRESH_ER = 5

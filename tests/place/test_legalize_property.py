@@ -1,9 +1,9 @@
 """Property-based legalizer invariants on randomized target sets.
 
-The legalizer is load-bearing for every incremental path: the delta
-engine assumes placements are always legal, so ``legalize`` must never
-produce overlaps, off-grid sites, or out-of-core rows — for *any* target
-cloud Hypothesis can dream up.
+The legalizer is load-bearing for every ECO path: the operators and the
+flow's ``layout.validate()`` assume placements are always legal, so
+``legalize`` must never produce overlaps, off-grid sites, or out-of-core
+rows — for *any* target cloud Hypothesis can dream up.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ Fast tier drives the millisecond-scale ``FakeGuard`` (its kill at every
 boundary sweep runs for both run kinds in ``test_resumable_run.py``);
 the ``slow`` markers re-run the acceptance scenario on the real
 PRESENT benchmark (pop 10, gen 4, seed 9), sharing one warm guard across
-runs — valid because the incremental evaluator is bitwise-equivalent to
-the full recompute (the PR-2 differential harness guarantees it), so a
-warm cache changes runtime only, never objectives.
+runs — valid because a warm operator memo equals a fresh guard bitwise
+(``tests/core/test_flow.py::TestOperatorMemo``), so a warm cache changes
+runtime only, never objectives.
 """
 
 from __future__ import annotations
