@@ -239,17 +239,19 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0 if not report.success else 1
 
 
-def _load_front_configs(path: str) -> List[FlowConfig]:
+def _load_front_configs(path: str, num_layers: int) -> List[FlowConfig]:
     """The flow configs of an exploration-front JSON file.
 
     Accepts either a bare list of front entries or an object with a
     ``front`` key (the shape ``repro jobs <id> --result`` prints);
     entries may be full individuals (``{"genome": ...}``) or bare
-    genome objects.
+    genome objects.  Each genome's RWS vector must hold ``num_layers``
+    scales, one per metal layer of the design.
 
     Raises:
         FlowError: Naming the file (and the entry index) when it cannot
-            be read or an entry is not a genome.
+            be read, an entry is not a genome, or its RWS vector has the
+            wrong length.
     """
     from repro.resilience.checkpoint import decode_flow_config
 
@@ -280,6 +282,12 @@ def _load_front_configs(path: str) -> List[FlowConfig]:
                 f"--front {path}: entry {i}: malformed genome "
                 f"{genome!r} ({detail!r})"
             ) from None
+        scales = configs[-1].rws_scales
+        if len(scales) != num_layers:
+            raise FlowError(
+                f"--front {path}: entry {i}: RWS needs {num_layers} layer "
+                f"scales, got {len(scales)}"
+            )
     return configs
 
 
@@ -310,7 +318,9 @@ def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
     if args.front:
         hardened_configs.extend(
             (f"front-{i}", config)
-            for i, config in enumerate(_load_front_configs(args.front))
+            for i, config in enumerate(
+                _load_front_configs(args.front, d.technology.num_layers)
+            )
         )
     if hardened_configs:
         guard = _build_guard(d)

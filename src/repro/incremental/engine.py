@@ -3,7 +3,10 @@
 Each operator-memo entry of :class:`~repro.core.flow.GDSIIGuard` owns one
 evaluator for its placed layout.  Every :meth:`DeltaEvaluator.evaluate`
 call routes that layout cold under the call's NDR, then runs a cold STA
-and a cold exploitable-region scan on the new routing.
+and a cold exploitable-region scan on the new routing.  The evaluator
+keeps the layout's :class:`~repro.route.router.RoutePlan` from its first
+route and hands it to every later one, so the pin pairs and base tiers
+are derived once per placement.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Optional
 from repro import obs
 from repro.layout.layout import Layout
 from repro.route.ndr import NonDefaultRule
-from repro.route.router import RoutingResult, global_route
+from repro.route.router import RoutePlan, RoutingResult, global_route
 from repro.security.assets import SecurityAssets
 from repro.security.exploitable import (
     DEFAULT_THRESH_ER,
@@ -57,6 +60,7 @@ class DeltaEvaluator:
         self.constraints = constraints
         self.assets = assets
         self.thresh_er = thresh_er
+        self._plan: Optional[RoutePlan] = None
         self._sta: Optional[IncrementalSTA] = None
         self._scanner: Optional[IncrementalExploitableScanner] = None
 
@@ -64,7 +68,8 @@ class DeltaEvaluator:
         """Route the layout under ``ndr``, then time and scan it."""
         layout = self.layout
         with obs.timed("flow.route"):
-            routing = global_route(layout, ndr=ndr)
+            routing = global_route(layout, ndr=ndr, plan=self._plan)
+            self._plan = routing.plan
         with obs.timed("flow.sta"):
             if self._sta is None:
                 self._sta = IncrementalSTA(

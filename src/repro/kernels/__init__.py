@@ -2,7 +2,8 @@
 
 STA arrival/required propagation (:mod:`~repro.kernels.sta`), exploitable-
 site row filtering (:mod:`~repro.kernels.exploitable`), routing-grid track
-accounting and the pair router's one-gather shape scores
+accounting, the pair router's one-gather shape scores and the code
+ranges behind its one-pass victim and congestion scans
 (:mod:`~repro.kernels.routegrid`), and the legalizer start search and ECO
 receiving-target scan (:mod:`~repro.kernels.legalize`) are implemented
 only here: the flow calls these functions directly.

@@ -1,19 +1,22 @@
-"""Vectorized track-usage / overflow accounting over the gcell grid.
+"""Track-usage accounting and congestion scans over the gcell grid.
 
-The router's hot loops walk gcell lists: committing demand, scoring the
-candidate shapes of a pin pair, and scanning routed segments against
-overflow masks.  Each of these collapses to a few numpy operations.
+The router's hot paths are straight runs of gcells: committing demand
+along a routed piece, scoring the candidate shapes of a pin pair, and
+reading routed cells back out of the grid.  A run is a span
+``(horizontal, lo, hi, fixed)`` — cells ``(lo..hi, fixed)`` when
+horizontal, else ``(fixed, lo..hi)`` — and never a materialized cell
+list:
 
-Precondition: every gcell list handed to this module is an *ascending
-straight run* — ``[(lo, y), (lo + 1, y), …, (hi, y)]`` or the same along
-a column.  :func:`as_span` reads only a list's endpoints, so a list that
-breaks the precondition is silently misread: ``[(0, 0), (4, 0), (2, 0)]``
-is taken as the run 0..2.  The router only ever builds such runs (the
-pair router materializes each chosen piece from its ``(lo, hi, fixed)``
-span), so no per-call check guards the hot path.
+* :func:`apply_line` commits one span, cell by cell on a flat view;
+* :func:`piece_codes` turns many spans into gather codes at once, and
+  :func:`code_scores` scores every shape of a pair on every tier with
+  one gather (:func:`tier_tables`);
+* :func:`ranges` expands per-item code ranges, so the router gathers a
+  whole route's cells in one pass for rip-up victims and congestion
+  factors.
 
-Bitwise equality with the per-gcell oracles: slice ``+=`` touches each
-cell exactly once like a per-cell loop; the congestion ratio
+Bitwise equality with the per-gcell oracles: a commit is the oracle's
+per-cell loop of IEEE double adds; the congestion ratio
 ``(use + demand) / cap`` (``inf`` where ``cap <= 0``) is the same
 elementwise IEEE add then divide, and max/any reductions are
 order-independent.
@@ -21,89 +24,80 @@ order-independent.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-#: (horizontal, lo, hi, fixed) — cells (lo..hi, fixed) or (fixed, lo..hi).
-Span = Tuple[bool, int, int, int]
-
-
-def as_span(gcells: Sequence[Tuple[int, int]]) -> Span:
-    """The span of a non-empty ascending straight run of gcells."""
-    x0, y0 = gcells[0]
-    x1, y1 = gcells[-1]
-    if y0 == y1:
-        return (True, x0, x1, y0)
-    return (False, y0, y1, x0)
-
 
 def apply_line(
-    use: np.ndarray,
+    use: Any,
+    layer_first: int,
+    ny: int,
     horizontal: bool,
     lo: int,
     hi: int,
     fixed: int,
     delta: float,
 ) -> None:
-    """Add ``delta`` tracks along a straight run (one touch per cell)."""
+    """Add ``delta`` tracks along a straight run, one cell at a time.
+
+    ``use`` is a writable flat view of a C-ordered ``(K, nx, ny)``
+    usage array (``usage.reshape(-1).data``) and ``layer_first`` the
+    flat bin of the run's layer's cell ``(0, 0)``.  A run's cells are a
+    few bins, so Python float adds on the view beat a numpy slice add;
+    each is the same IEEE double add.
+    """
     if horizontal:
-        use[lo : hi + 1, fixed] += delta
+        first = layer_first + fixed
+        for b in range(first + lo * ny, first + hi * ny + 1, ny):
+            use[b] += delta
     else:
-        use[fixed, lo : hi + 1] += delta
+        first = layer_first + fixed * ny
+        for b in range(first + lo, first + hi + 1):
+            use[b] += delta
 
 
-def segment_hits(
-    mask: np.ndarray, layer: int, gcells: Sequence[Tuple[int, int]]
-) -> bool:
-    """Whether any of a segment's cells is set in a (K, nx, ny) bool mask."""
-    horizontal, lo, hi, fixed = as_span(gcells)
-    m = mask[layer - 1]
-    if horizontal:
-        return bool(m[lo : hi + 1, fixed].any())
-    return bool(m[fixed, lo : hi + 1].any())
+def ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``first[i] .. first[i] + counts[i] - 1`` for every ``i``, concatenated.
 
-
-def route_worst_ratio(
-    capacity: np.ndarray, usage: np.ndarray, segments: Sequence
-) -> float:
-    """Worst use/cap ratio over a route's segments (cap<=0 cells skipped).
-
-    0.0 when no segment crosses a cell with capacity.
+    Items with a zero count contribute nothing.
     """
-    worst = 0.0
-    for seg in segments:
-        layer = seg.layer - 1
-        horizontal, lo, hi, fixed = as_span(seg.gcells)
-        if horizontal:
-            c = capacity[layer, lo : hi + 1, fixed]
-            u = usage[layer, lo : hi + 1, fixed]
-        else:
-            c = capacity[layer, fixed, lo : hi + 1]
-            u = usage[layer, fixed, lo : hi + 1]
-        valid = c > 0
-        if valid.any():
-            worst = max(worst, float((u[valid] / c[valid]).max()))
-    return worst
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    return np.arange(total) + np.repeat(first - (ends - counts), counts)
 
 
-def victims_of(
-    mask: np.ndarray, routes: dict
-) -> List[str]:
-    """Nets with at least one segment crossing a set cell of ``mask``.
+def piece_codes(
+    nx: int,
+    ny: int,
+    horizontal: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    fixed: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather codes of straight pieces, concatenated in piece order.
 
-    In ``routes`` order, each net once.
+    A horizontal piece's cell ``(ix, iy)`` has code ``ix * ny + iy`` (a
+    row of the h half of :func:`tier_tables`), a vertical piece's cell
+    ``(nx + ix) * ny + iy`` (the v half), each piece's codes in
+    ascending ``lo..hi`` order.  Returns the codes and the ``len + 1``
+    offsets of each piece's codes.
     """
-    victims: List[str] = []
-    for name, route in routes.items():
-        for seg in route.segments:
-            if segment_hits(mask, seg.layer, seg.gcells):
-                victims.append(name)
-                break
-    return victims
+    counts = hi - lo + 1
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    step = np.where(horizontal, ny, 1)
+    # code = first + (q - offset) * step at flat position q of a piece;
+    # built in place to keep one codes-sized temporary alive
+    first = np.where(horizontal, lo * ny + fixed, (nx + fixed) * ny + lo)
+    first = first - offsets[:-1] * step
+    codes = np.arange(offsets[-1], dtype=np.intp)
+    codes *= np.repeat(step, counts)
+    codes += np.repeat(first, counts)
+    return codes, offsets
 
 
-#: Per-route gather tables of :func:`shape_scores` (see :func:`tier_tables`).
+#: Per-route gather tables of :func:`code_scores` (see :func:`tier_tables`).
 TierTables = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -131,29 +125,21 @@ def tier_tables(
     return index, demand, cap
 
 
-def shape_scores(
-    usage: np.ndarray, tables: TierTables, shapes: Sequence[Sequence[tuple]]
+def code_scores(
+    usage: np.ndarray,
+    tables: TierTables,
+    codes: np.ndarray,
+    starts: np.ndarray,
 ) -> List[List[float]]:
     """Worst ``(use + demand) / cap`` of every candidate shape on every tier.
 
-    A shape lists straight pieces ``(horizontal, lo, hi, fixed, _)``:
-    gcells ``(lo..hi, fixed)`` on the tier's h layer, else ``(fixed,
-    lo..hi)`` on its v layer.  Returns one list of shape scores per tier.
-    A bin with ``cap <= 0`` scores ``inf``, 0/0 too: its NaN capacity
+    Shape ``i`` owns ``codes[starts[i]:starts[i + 1]]`` (the last one
+    runs to the end), as built by :func:`piece_codes`; every shape owns
+    at least one code.  Returns one list of shape scores per tier.  A
+    bin with ``cap <= 0`` scores ``inf``, 0/0 too: its NaN capacity
     makes the ratio NaN, which ``np.maximum`` propagates and ``np.fmin``
     turns into ``inf``.
     """
-    nx, ny = usage.shape[1:]
-    codes: List[int] = []
-    starts: List[int] = []
-    for shape in shapes:
-        starts.append(len(codes))
-        for horizontal, lo, hi, fixed, _ in shape:
-            if horizontal:
-                codes.extend(range(lo * ny + fixed, hi * ny + fixed + 1, ny))
-            else:
-                first = (nx + fixed) * ny
-                codes.extend(range(first + lo, first + hi + 1))
     index, demand, cap = tables
     bins = index.take(codes, axis=0)
     ratio = usage.take(bins)

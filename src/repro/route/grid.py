@@ -3,19 +3,20 @@
 The core is tiled into gcells (a few sites wide, two rows tall).  Every
 gcell × layer has a track capacity derived from the layer's pitch and the
 gcell's extent perpendicular to the routing direction; routed segments
-consume capacity (scaled by the NDR width factor).  Overflow — usage above
+consume capacity (scaled by the NDR width factor); the router commits
+them into :attr:`RoutingGrid.usage` with
+:func:`repro.kernels.routegrid.apply_line`.  Overflow — usage above
 capacity — is the congestion signal for DRC counting and rip-up.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.geometry import Rect
-from repro.kernels import routegrid as _rk
 from repro.tech.technology import Technology
 
 #: Default gcell extent in sites / rows — chosen so gcells are near-square
@@ -91,30 +92,6 @@ class RoutingGrid:
         for ix in range(ix_lo, ix_hi):
             for iy in range(iy_lo, iy_hi):
                 yield ix, iy
-
-    # ------------------------------------------------------------------ #
-    # usage accounting
-    # ------------------------------------------------------------------ #
-
-    def add_segment(
-        self, layer_index: int, gcells: List[Tuple[int, int]], demand: float
-    ) -> None:
-        """Consume ``demand`` tracks on ``layer_index`` along ``gcells``.
-
-        ``gcells`` must be an ascending straight run (see
-        :mod:`repro.kernels.routegrid`).
-        """
-        _rk.apply_line(
-            self.usage[layer_index - 1], *_rk.as_span(gcells), demand
-        )
-
-    def remove_segment(
-        self, layer_index: int, gcells: List[Tuple[int, int]], demand: float
-    ) -> None:
-        """Undo :meth:`add_segment`."""
-        _rk.apply_line(
-            self.usage[layer_index - 1], *_rk.as_span(gcells), -demand
-        )
 
     # ------------------------------------------------------------------ #
     # congestion queries

@@ -23,6 +23,8 @@ from repro.tech.library import nangate45_library
 from repro.tech.technology import nangate45_like
 from repro.timing.constraints import TimingConstraints
 
+from tests.golden.test_route_digest import route_digest
+
 
 @pytest.fixture(scope="module")
 def guard(misty_design):
@@ -242,16 +244,23 @@ class TestOperatorMemo:
             results = [warm.run(config) for config in configs]
             metrics = obs.get_metrics()
             hits = metrics.counter("flow.incremental.op_cache_hits").value
+            misses = metrics.counter("flow.incremental.op_cache_misses").value
             chains = metrics.counter("flow.incremental.op_prefix_chains").value
+            plans = metrics.counter("route.plan.calls").value
         finally:
             obs.disable()
             obs.get_metrics().reset()
         # the sequence must exercise both memo paths to mean anything
         assert hits >= 1 and chains >= 1
+        # a memo hit routes from its entry's plan; only a miss builds one
+        assert plans == misses
         for config, result in zip(configs, results):
             fresh = _memo_guard(design).run(config)
             assert _flow_key(result) == _flow_key(fresh), config
             assert result.layout.placements == fresh.layout.placements, config
+            assert route_digest(result.routing) == route_digest(
+                fresh.routing
+            ), config
 
     def test_memo_configs_fast(self, memo_design):
         # LDA(2, 1) repeats under new scales, LDA(2, 3) chains off it,

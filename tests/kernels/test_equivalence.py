@@ -17,8 +17,6 @@ inputs and compare every observable output exactly — no tolerances:
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,7 +36,9 @@ from repro.route import router
 from repro.route.grid import RoutingGrid
 from repro.route.ndr import NonDefaultRule
 from repro.route.router import (
-    RoutingResult,
+    RoutePlan,
+    RouteSegment,
+    _PairTables,
     _route_pair,
     assign_layer_tier,
     global_route,
@@ -148,10 +148,60 @@ def one_design():
     return d
 
 
+#: Nets :func:`_with_degenerate_nets` adds to a plan.
+COINCIDENT_NET = "~coincident"
+TWICE_NET = "~twice"
+
+
+def _with_degenerate_nets(plan: RoutePlan) -> RoutePlan:
+    """``plan`` with two nets routed before the others.
+
+    :data:`COINCIDENT_NET` has two pin pairs whose pins coincide, so it
+    routes no segment.  :data:`TWICE_NET` repeats one pin pair whose pins
+    sit in one gcell row far apart, so its cells cross bins twice: the
+    second pair repeats the first's row on the same tier, and the
+    pair's first Z-shape crosses its middle column twice.
+    """
+    core = plan.layout.core
+    x1 = core.xlo + 0.1 * core.width
+    x2 = core.xlo + 0.9 * core.width
+    y = core.ylo + 0.5 * core.height
+    extra = np.array([
+        (x1, y, x1, y),
+        (x1, y, x1, y),
+        (x1, y, x2, y + 1e-6),
+        (x1, y, x2, y + 1e-6),
+    ])
+    return RoutePlan(
+        plan.layout,
+        [COINCIDENT_NET, TWICE_NET, *plan.nets],
+        bytes([0, 0]) + plan.base_tiers,
+        np.concatenate([extra, plan.pairs]),
+        np.concatenate([[0, 2], plan.offsets + 4]),
+    )
+
+
 @pytest.fixture(scope="module")
-def one_routed(one_design):
-    """Shared routing: tests copy the grid before mutating it."""
-    return global_route(one_design["layout"])
+def one_plan(one_design):
+    """The design's route plan with the degenerate nets in front."""
+    return _with_degenerate_nets(RoutePlan.build(one_design["layout"]))
+
+
+@pytest.fixture(scope="module")
+def one_initial(one_design, one_plan):
+    """A route after its initial pass, and the nets' routes read from it.
+
+    The twice-routed net must really cross a bin twice.
+    """
+    layout = one_design["layout"]
+    ndr = NonDefaultRule.default(layout.technology.num_layers)
+    route = router._Route(RoutingGrid(layout.technology, layout.core), ndr, one_plan)
+    route.initial()
+    routes = route.net_routes(layout, ndr)
+    assert routes[COINCIDENT_NET].segments == []
+    cells = [(s.layer, c) for s in routes[TWICE_NET].segments for c in s.gcells]
+    assert len(set(cells)) < len(cells)
+    return route, routes
 
 
 @pytest.fixture(scope="module")
@@ -197,13 +247,6 @@ def _segs_key(segments):
 def _rng(data) -> np.random.Generator:
     seed = data.draw(st.integers(0, 2**32 - 1), label="rng_seed")
     return np.random.default_rng(seed)
-
-
-def _copied(routing: RoutingResult) -> RoutingResult:
-    """The same routes over a private copy of the grid."""
-    result = RoutingResult(copy.deepcopy(routing.grid), routing.ndr)
-    result.routes = routing.routes
-    return result
 
 
 # ---------------------------------------------------------------------- #
@@ -579,12 +622,22 @@ def _draw_run(data, grid, k: int, i: int):
     return layer, (horizontal, lo, hi, fixed), cells
 
 
+def _shape_scores(grid, tables, shapes):
+    """Kernel scores of shapes given as lists of spans, one list per tier."""
+    spans = [span for shape in shapes for span in shape]
+    codes, offsets = rk.piece_codes(
+        grid.nx, grid.ny, *(np.array(column) for column in zip(*spans))
+    )
+    firsts = np.cumsum([0] + [len(shape) for shape in shapes[:-1]])
+    return rk.code_scores(grid.usage, tables, codes, offsets[firsts])
+
+
 def _probe(grid, layer, span, demand):
     """The kernel's score of one straight run on one layer."""
     tables = rk.tier_tables(
         grid.capacity, [demand] * grid.capacity.shape[0], [(layer, layer)]
     )
-    [[score]] = rk.shape_scores(grid.usage, tables, [[(*span, 0.0)]])
+    [[score]] = _shape_scores(grid, tables, [[span]])
     return score
 
 
@@ -594,30 +647,40 @@ def test_grid_accounting_equal(one_design, data):
     """Random straight segments: usage and scores agree bitwise.
 
     Each run is scored before it is committed, so later scores read the
-    usage of earlier commits.
+    usage of earlier commits.  A segment built from a run's span reads
+    the run back as its gcells.
     """
     tech = one_design["tech"]
     oracle = RoutingGrid(tech, GRID_CORE)
     kernel = RoutingGrid(tech, GRID_CORE)
+    flat = kernel.usage.reshape(-1).data
+
+    def commit(layer, span, demand):
+        first = (layer - 1) * kernel.nx * kernel.ny
+        rk.apply_line(flat, first, kernel.ny, *span, demand)
+
     n_ops = data.draw(st.integers(min_value=1, max_value=12), label="ops")
     applied = []
     for i in range(n_ops):
         layer, span, cells = _draw_run(data, kernel, tech.num_layers, i)
-        assert rk.as_span(cells) == oracle_rg.as_span(cells)
         demand = data.draw(
             st.floats(0.1, 3.0, allow_nan=False), label=f"demand{i}"
         )
+        seg = RouteSegment(layer, *span, 0.0, demand)
+        assert seg.gcells == cells
+        if len(cells) > 1:
+            assert oracle_rg.as_span(seg.gcells) == span
         probe = oracle_rg.segment_congestion(oracle, layer, cells, demand)
         assert probe == _probe(kernel, layer, span, demand)
         oracle_rg.add_segment(oracle, layer, cells, demand)
-        kernel.add_segment(layer, cells, demand)
-        applied.append((layer, cells, demand))
+        commit(layer, span, demand)
+        applied.append((layer, span, cells, demand))
     assert oracle.usage.tobytes() == kernel.usage.tobytes()
     assert oracle.num_overflows() == kernel.num_overflows()
     assert oracle.total_overflow() == kernel.total_overflow()
-    for layer, cells, demand in applied:
+    for layer, span, cells, demand in applied:
         oracle_rg.remove_segment(oracle, layer, cells, demand)
-        kernel.remove_segment(layer, cells, demand)
+        commit(layer, span, -demand)
     assert oracle.usage.tobytes() == kernel.usage.tobytes()
 
 
@@ -651,10 +714,10 @@ def test_shape_scores_zero_capacity_equal(one_design, data):
         [_draw_run(data, grid, k, 3 * i + j)[1:] for j in range(1 + i % 3)]
         for i in range(data.draw(st.integers(1, 4), label="shapes"))
     ]
-    kernel = rk.shape_scores(
-        grid.usage,
+    kernel = _shape_scores(
+        grid,
         rk.tier_tables(grid.capacity, demand, tiers),
-        [[(*span, 0.0) for span, _ in shape] for shape in shapes],
+        [[span for span, _ in shape] for shape in shapes],
     )
     for (h, v), scores in zip(tiers, kernel):
         oracle = []
@@ -678,9 +741,15 @@ def test_shape_scores_zero_capacity_equal(one_design, data):
 
 @settings(max_examples=15, **_FIXTURE_SETTINGS)
 @given(data=st.data())
-def test_congestion_factor_equal(one_routed, data):
-    """Per-net congestion factors over randomly raised usage."""
-    result = _copied(one_routed)
+def test_congestion_factor_equal(one_design, one_plan, data):
+    """Per-net congestion factors over randomly raised usage.
+
+    The usage is raised (and capacities zeroed) after the route and
+    before the first query, which must read the grid as it is then.
+    The plan's coincident-pin net has no cells and the twice-routed net
+    crosses bins twice.
+    """
+    result = global_route(one_design["layout"], plan=one_plan)
     grid = result.grid
     rng = _rng(data)
     raise_p = data.draw(st.floats(0.0, 1.0), label="raise_p")
@@ -688,13 +757,11 @@ def test_congestion_factor_equal(one_routed, data):
     grid.usage += np.where(rng.random(grid.usage.shape) < raise_p, bump, 0.0)
     if data.draw(st.booleans(), label="zero_caps"):
         grid.capacity[rng.random(grid.capacity.shape) < 0.2] = 0.0
+    assert result.routes[COINCIDENT_NET].segments == []
     for name, route in result.routes.items():
         worst = oracle_rg.route_worst_ratio(
             grid.capacity, grid.usage, route.segments
         )
-        assert rk.route_worst_ratio(
-            grid.capacity, grid.usage, route.segments
-        ) == worst
         assert result.congestion_factor(name) == (
             1.0 + 0.3 * max(0.0, worst - 0.8)
         )
@@ -702,21 +769,27 @@ def test_congestion_factor_equal(one_routed, data):
 
 @settings(max_examples=25, **_FIXTURE_SETTINGS)
 @given(data=st.data())
-def test_victims_of_equal(one_routed, data):
-    """Random masks select the same victims, in the same order."""
+def test_victims_of_equal(one_initial, data):
+    """Random masks select the same victims, in the same order.
+
+    The route's one pass over its picked cells against the per-cell
+    scan of every net's segments.
+    """
+    route, routes = one_initial
     rng = _rng(data)
     density = data.draw(
         st.sampled_from([0.0, 0.0005, 0.002, 0.01, 0.05, 0.3]),
         label="density",
     )
-    mask = rng.random(one_routed.grid.usage.shape) < density
-    assert rk.victims_of(mask, one_routed.routes) == oracle_rg.victims_of(
-        mask, one_routed.routes
+    mask = rng.random(route.grid.usage.shape) < density
+    nets = route.plan.nets
+    assert [nets[i] for i in route.victims(mask)] == oracle_rg.victims_of(
+        mask, routes
     )
 
 
-def _segs_or_none(segs):
-    return None if segs is None else _segs_key(segs)
+def _segs_key(segments):
+    return [(s.layer, list(s.gcells), s.length_um, s.demand) for s in segments]
 
 
 @settings(max_examples=40, **_FIXTURE_SETTINGS)
@@ -728,7 +801,8 @@ def test_route_pair_equal(one_design, data):
     at tier_bump 0 and 1, on the 10-layer stack and on a 3-layer stack
     where clamping repeats a tier.  A lattice grid (one capacity, usage
     on a coarse grid, one width scale) makes exact ties between tiers
-    common, and zeroed bins make whole tiers score inf.
+    common, and zeroed bins make whole tiers score inf.  The pairs sit
+    in one set of pair tables, as in a route.
     """
     k = data.draw(st.sampled_from([10, 3]), label="layers")
     tech = one_design["tech"] if k == 10 else nangate45_like(num_layers=k)
@@ -747,7 +821,7 @@ def test_route_pair_equal(one_design, data):
     if data.draw(st.booleans(), label="zero_caps"):
         grid.capacity[rng.random(grid.capacity.shape) < 0.3] = 0.0
     ndr = NonDefaultRule(scales=scales)
-    tier_sets = router._tier_sets(grid, ndr)
+    columns, tier_sets = router._tier_sets(grid, ndr)
     assert {
         assign_layer_tier(hpwl, clock, k, core_scale=1.0)
         for hpwl in (0.05, 0.2, 0.4, 0.7, 2.0)
@@ -760,10 +834,12 @@ def test_route_pair_equal(one_design, data):
             assert tiers.demands == tuple(
                 (ndr.track_demand(h), ndr.track_demand(v)) for h, v in tiers.layers
             )
+            assert tiers.layers == tuple(columns.layers[c] for c in tiers.columns)
             candidate_lists.append(tiers)
     core = GRID_CORE
     coord_x = st.floats(core.xlo, core.xhi, allow_nan=False)
     coord_y = st.floats(core.ylo, core.yhi, allow_nan=False)
+    pins = []
     for i in range(4):
         p1 = Point(data.draw(coord_x, label=f"x1_{i}"), data.draw(coord_y, label=f"y1_{i}"))
         shape = data.draw(
@@ -771,51 +847,61 @@ def test_route_pair_equal(one_design, data):
         )
         x2 = p1.x if shape in ("same_x", "same") else data.draw(coord_x, label=f"x2_{i}")
         y2 = p1.y if shape in ("same_y", "same") else data.draw(coord_y, label=f"y2_{i}")
-        p2 = Point(x2, y2)
+        pins.append((p1, Point(x2, y2)))
+    tables = _PairTables(
+        grid, np.array([(p.x, p.y, q.x, q.y) for p, q in pins], dtype=float)
+    )
+    for p, (p1, p2) in enumerate(pins):
         for tiers in candidate_lists:
-            kernel = _route_pair(grid, tiers, p1, p2)
+            shape, column = _route_pair(grid.usage, tiers, tables, p)
+            kernel = None if shape < 0 else _segs_key(
+                tables.segments(
+                    shape, columns.layers[column], columns.demands[column]
+                )
+            )
             oracle = oracle_rt._route_pair(grid, tiers, p1, p2)
-            assert _segs_or_none(kernel) == _segs_or_none(oracle)
+            # coincident pins route no segment: [] in the oracle
+            assert kernel == (_segs_key(oracle) if oracle else None)
 
 
-def _route_digest(routing):
-    routes = {
-        name: _segs_key(r.segments) for name, r in routing.routes.items()
-    }
+def _route_digest(routes, grid, factors):
     return (
-        routes,
-        routing.grid.usage.tobytes(),
-        routing.grid.num_overflows(),
-        routing.grid.total_overflow(),
-        routing.total_wirelength,
-        [routing.congestion_factor(name) for name in routing.routes],
+        {name: _segs_key(r.segments) for name, r in routes.items()},
+        {name: (r.resistance, r.capacitance) for name, r in routes.items()},
+        grid.usage.tobytes(),
+        grid.num_overflows(),
+        grid.total_overflow(),
+        factors,
     )
 
 
-def test_global_route_equal(design, monkeypatch):
-    """Whole router runs agree when every kernel is swapped for its oracle.
+def test_global_route_equal(design):
+    """Whole router runs agree with the scalar router.
 
-    The production router's control flow (net order and plans, rip-up,
-    DRC repair) runs over the kernels, then with the pair router and the
-    grid scans swapped for their oracles; routes, usage, overflow and
-    per-net congestion factors must match exactly.  The second rule
-    doubles every layer's track demand, so the grid overflows and rip-up
-    and DRC repair run.
+    Routes, R/C, usage, overflow and per-net congestion factors must
+    match exactly.  The first rule widens every other layer by 1.2; the
+    second triples every layer's track demand, so the grid overflows,
+    rip-up runs and DRC repair rejects (and reverts) some reroutes.  The
+    third run routes the second rule from a plan with a coincident-pin
+    and a twice-routed net in front.
     """
     layout = design["layout"]
     k = design["tech"].num_layers
-    ndrs = (
-        NonDefaultRule(scales=tuple(1.2 if i % 2 else 1.0 for i in range(k))),
-        NonDefaultRule(scales=(2.0,) * k),
+    wide = NonDefaultRule(scales=(3.0,) * k)
+    runs = (
+        (NonDefaultRule(scales=tuple(1.2 if i % 2 else 1.0 for i in range(k))), None),
+        (wide, None),
+        (wide, _with_degenerate_nets(RoutePlan.build(layout))),
     )
-    kernel = [_route_digest(global_route(layout, ndr=ndr)) for ndr in ndrs]
-    assert kernel[1][2] > 0, "doubled demand must overflow"
-    monkeypatch.setattr(router, "_route_pair", oracle_rt._route_pair)
-    monkeypatch.setattr(RoutingGrid, "add_segment", oracle_rg.add_segment)
-    monkeypatch.setattr(
-        RoutingGrid, "remove_segment", oracle_rg.remove_segment
-    )
-    monkeypatch.setattr(rk, "victims_of", oracle_rg.victims_of)
-    monkeypatch.setattr(rk, "route_worst_ratio", oracle_rg.route_worst_ratio)
-    oracle = [_route_digest(global_route(layout, ndr=ndr)) for ndr in ndrs]
-    assert kernel == oracle
+    for i, (ndr, plan) in enumerate(runs):
+        result = global_route(layout, ndr=ndr, plan=plan)
+        kernel = _route_digest(
+            result.routes,
+            result.grid,
+            {name: result.congestion_factor(name) for name in result.routes},
+        )
+        oracle = oracle_rt.global_route(layout, ndr, plan=plan)
+        assert kernel == _route_digest(oracle.routes, oracle.grid, oracle.factors)
+        if i:
+            assert oracle.grid.num_overflows() > 0
+            assert oracle.reverts > 0, "repair must reject a reroute"

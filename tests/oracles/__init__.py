@@ -13,9 +13,12 @@ results:
 * ``cell_shift._below_weights`` — ``core.cell_shift._IncrementalBelow``;
 * ``legalize._best_start_in_row`` / ``legalize._receiving_target`` —
   ``kernels.legalize.best_start_in_row`` / ``receiving_target``;
-* ``routegrid.*`` — ``RoutingGrid`` accounting, the
-  ``kernels.routegrid`` scans, and (``segment_congestion``, per piece)
-  the shape scores of ``kernels.routegrid.shape_scores``;
+* ``routegrid.*`` — grid accounting (``kernels.routegrid.apply_line``),
+  the shape scores of ``kernels.routegrid.code_scores`` (per piece,
+  ``segment_congestion``), and the router's one-pass congestion factors
+  and rip-up victims (per net, ``route_worst_ratio`` / ``victims_of``);
 * ``router._route_pair`` — ``route.router._route_pair``, the tier loop
-  one tier and one piece at a time (``router._route_two_pin``).
+  one tier and one piece at a time (``router._route_two_pin``);
+* ``router.global_route`` — ``route.router.global_route``, the whole
+  route over per-net segment lists.
 """

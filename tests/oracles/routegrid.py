@@ -1,12 +1,17 @@
 """Scalar oracles for routing-grid accounting and the router's grid scans.
 
-Every function walks a gcell list one cell at a time.  The functions
-taking ``grid`` first are the per-cell readings of the
-:class:`~repro.route.grid.RoutingGrid` methods of the same name, except
-:func:`segment_congestion`, the per-piece reading of
-:func:`repro.kernels.routegrid.shape_scores` (a shape scores the max
-over its pieces); the rest share the signature of the
-:mod:`repro.kernels.routegrid` function they check.
+Every function walks a gcell list one cell at a time:
+
+* :func:`as_span` reads a run's span from every cell (a
+  :class:`~repro.route.router.RouteSegment` is its span);
+* :func:`add_segment` / :func:`remove_segment` commit a run cell by cell
+  (the router's :func:`repro.kernels.routegrid.apply_line`);
+* :func:`segment_congestion` scores one piece (a shape of
+  :func:`repro.kernels.routegrid.code_scores` scores the max over its
+  pieces);
+* :func:`route_worst_ratio` and :func:`victims_of` scan routed segments,
+  the per-net readings of the router's one-pass congestion factors and
+  rip-up victims.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.routegrid import Span
 from repro.route.grid import RoutingGrid
+
+#: (horizontal, lo, hi, fixed) — cells (lo..hi, fixed) or (fixed, lo..hi).
+Span = Tuple[bool, int, int, int]
 
 
 def as_span(gcells: Sequence[Tuple[int, int]]) -> Span:

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.kernels.routegrid import shape_scores, tier_tables
+from repro.kernels.routegrid import apply_line, code_scores, piece_codes, tier_tables
 from repro.route.grid import RoutingGrid
+
+
+def add_run(grid, layer, horizontal, lo, hi, fixed, demand):
+    """Commit ``demand`` tracks along one straight run of gcells."""
+    apply_line(
+        grid.usage.reshape(-1).data, (layer - 1) * grid.nx * grid.ny, grid.ny,
+        horizontal, lo, hi, fixed, demand,
+    )
 
 
 @pytest.fixture()
@@ -36,15 +44,16 @@ class TestGeometry:
 
 class TestUsageAccounting:
     def test_add_remove_symmetry(self, grid):
-        cells = [(0, 0), (1, 0)]
-        grid.add_segment(3, cells, 1.5)
+        add_run(grid, 3, True, 0, 1, 0, 1.5)  # cells (0, 0), (1, 0)
         assert grid.usage[2, 0, 0] == 1.5
-        grid.remove_segment(3, cells, 1.5)
+        assert grid.usage[2, 1, 0] == 1.5
+        add_run(grid, 3, True, 0, 1, 0, -1.5)
         assert grid.usage[2, 0, 0] == 0.0
+        assert not grid.usage.any()
 
     def test_overflow_counting(self, grid):
         cap = grid.capacity[0, 0, 0]
-        grid.add_segment(1, [(0, 0)], cap + 1)
+        add_run(grid, 1, True, 0, 0, 0, cap + 1)
         assert grid.num_overflows() == 1
         assert grid.num_overflows(slack=2.0) == 0
         assert grid.total_overflow() == pytest.approx(1.0)
@@ -53,7 +62,11 @@ class TestUsageAccounting:
         # One cell (0, 0) of a horizontal piece, scored on layer 1.
         cap = grid.capacity[0, 0, 0]
         tables = tier_tables(grid.capacity, [cap / 2] * 10, [(1, 2)])
-        [[score]] = shape_scores(grid.usage, tables, [[(True, 0, 0, 0, 1.0)]])
+        codes, _ = piece_codes(
+            grid.nx, grid.ny, np.array([True]), np.array([0]), np.array([0]),
+            np.array([0]),
+        )
+        [[score]] = code_scores(grid.usage, tables, codes, np.array([0]))
         assert score == pytest.approx(0.5)
 
 
@@ -70,11 +83,11 @@ class TestFreeTracks:
 
     def test_usage_reduces_free_tracks(self, grid):
         before = grid.free_tracks_total()
-        grid.add_segment(3, [(0, 0), (1, 0)], 2.0)
+        add_run(grid, 3, True, 0, 1, 0, 2.0)
         assert grid.free_tracks_total() == pytest.approx(before - 4.0)
 
     def test_overflow_does_not_go_negative(self, grid):
         cap = grid.capacity[2, 0, 0]
-        grid.add_segment(3, [(0, 0)], cap + 100)
+        add_run(grid, 3, True, 0, 0, 0, cap + 100)
         rect = grid.gcell_rect(0, 0)
         assert grid.free_tracks_over(rect) >= 0.0

@@ -6,10 +6,13 @@ from repro.errors import RoutingError
 from repro.geometry import Point, half_perimeter_wirelength
 from repro.route.ndr import NonDefaultRule
 from repro.route.router import (
+    RoutePlan,
     _spanning_pairs,
     assign_layer_tier,
     global_route,
 )
+
+from tests.golden.test_route_digest import route_digest
 
 
 class TestSpanningPairs:
@@ -119,3 +122,28 @@ class TestGlobalRoute:
         for name in list(result.routes)[:50]:
             k = result.congestion_factor(name)
             assert 1.0 <= k < 2.0
+
+
+class TestRoutePlan:
+    def test_result_carries_the_plan_it_built(self, tiny_design):
+        layout = tiny_design["layout"]
+        result = global_route(layout)
+        plan = result.plan
+        assert isinstance(plan, RoutePlan) and plan.layout is layout
+        assert list(result.routes) == plan.nets
+        assert len(plan.base_tiers) == len(plan.nets)
+        assert plan.offsets[-1] == len(plan.pairs)
+
+    def test_plan_reuse_is_bitwise(self, tiny_design):
+        layout = tiny_design["layout"]
+        ndr = NonDefaultRule.from_list([1.5] * 10)
+        fresh = global_route(layout, ndr=ndr)
+        reused = global_route(layout, ndr=ndr, plan=global_route(layout).plan)
+        assert reused.plan is not fresh.plan
+        assert route_digest(reused) == route_digest(fresh)
+
+    def test_plan_of_another_layout_rejected(self, tiny_design):
+        layout = tiny_design["layout"]
+        plan = global_route(layout).plan
+        with pytest.raises(RoutingError, match="another layout"):
+            global_route(layout.clone(), plan=plan)

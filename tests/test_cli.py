@@ -149,6 +149,8 @@ class TestCommands:
         "[1, 2]",
         '[{"genome": "x"}]',
         '[{"op_select": "CS"}]',
+        '[{"op_select": "CS", "lda_n": 2, "lda_n_iter": 1, '
+        '"rws_scales": [1.0]}]',
     ])
     def test_attack_unreadable_front_exits_2(self, tmp_path, capsys,
                                              content):

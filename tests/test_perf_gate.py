@@ -1,4 +1,4 @@
-"""Decision tests for ``tools/perf_gate.py`` against the real bounds."""
+"""Tests for ``tools/perf_gate.py``: decisions against the real bounds, and checkout set-up."""
 
 import copy
 import json
@@ -10,6 +10,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
+import perf_gate  # noqa: E402
 from perf_gate import (  # noqa: E402
     LAYER_BOUND,
     LAYER_SHARE,
@@ -163,3 +164,33 @@ def test_workload_record_takes_medians_and_counts_every_run():
     assert (rec["attempted"], rec["failed"]) == (40, 1)
     assert rec["ledger"] is traced
     assert rec["host.cal_ms"] == 20.0
+
+
+class TestPrecompile:
+    def test_writes_bytecode_even_when_the_environment_forbids_it(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        perf_gate.precompile(tmp_path, [sys.executable, "perfbench/run.py"])
+        assert list((tmp_path / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))
+
+    def test_each_checkout_compiles_before_its_first_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(perf_gate, "precompile",
+                            lambda checkout, command: calls.append(
+                                ("compile", checkout)))
+
+        def run_bench(checkout, command, workload, seconds, trace, label):
+            calls.append(("run", checkout))
+            return {"attempted": 1, "failed": 0, "host.cal_ms": 1.0,
+                    **{m: 1.0 for m in METRICS}}
+
+        monkeypatch.setattr(perf_gate, "run_bench", run_bench)
+        checkouts = {"base": Path("base"), "head": Path("head")}
+        perf_gate.measure(checkouts, {"base": "b", "head": "h"},
+                          {**BENCHMARK, "workloads": BENCHMARK["workloads"][:1]})
+        for checkout in checkouts.values():
+            mine = [kind for kind, where in calls if where == checkout]
+            assert mine[0] == "compile" and mine.count("compile") == 1

@@ -12,12 +12,15 @@ change; each runs its own ``perfbench/run.py``, which imports its own
 the gate runs :data:`PAIRS` alternating ``--trace 0`` pairs, then one
 ``--trace 1`` run per side, writes ``BENCH_<rev>.json`` per side into
 DIR, and exits 1 when a run crashes or a check of :func:`compare` fails.
+Before a side's first run the gate byte-compiles that checkout's
+``src`` (:func:`precompile`), so no run pays for compiling the program.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -136,6 +139,20 @@ def git_rev(checkout: Path) -> str:
     return rev + "-dirty" if git("status", "--porcelain", "-uno") else rev
 
 
+def precompile(checkout: Path, command: List[str]) -> None:
+    """Byte-compile ``checkout/src`` with the benchmark's interpreter.
+
+    Bytecode writing is forced on: with ``PYTHONDONTWRITEBYTECODE`` set,
+    a checkout without cached bytecode (a fresh clone) or with stale
+    bytecode (modules edited since) recompiles those modules in every
+    cold set-up, which ``setup_s`` then counts against that side only.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([command[0], "-m", "compileall", "-q", "src"],
+                   cwd=checkout, env=env, capture_output=True, check=True)
+
+
 def run_bench(checkout: Path, command: List[str], workload: str,
               seconds: float, trace: int, label: str) -> dict:
     """One perfbench run; its result line flattened to ``{name: value}``."""
@@ -168,6 +185,8 @@ def measure(checkouts: Dict[str, Path], revs: Dict[str, str],
 
     runs: Dict[str, Dict[str, List[dict]]] = {s: {w: [] for w in names}
                                               for s in checkouts}
+    for checkout in checkouts.values():
+        precompile(checkout, benchmark["command"])
     for i in range(PAIRS):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for workload in names:
