@@ -47,14 +47,15 @@ AMBIENT_MODULES: FrozenSet[str] = frozenset(
 PURITY_NEUTRAL_KINDS: FrozenSet[str] = frozenset({"blocking", "lock"})
 
 #: The kernels' five version-keyed memo caches and the layout's pin-table
-#: map (WeakKey maps invalidated by ``mod_count`` / occupancy ``version``
-#: epochs): written on a miss, observationally pure, so allowed on every
-#: pure path that reaches a kernel or a pin-geometry read.
+#: map (WeakKey maps invalidated by ``mod_count``, occupancy ``version``
+#: and budget row epochs): written on a miss, observationally pure, so
+#: allowed on every pure path that reaches a kernel or a pin-geometry
+#: read.
 _KERNEL_MEMO_CACHES: Tuple[str, ...] = (
     "mutates_global:repro.kernels.exploitable._FILLERS",
     "mutates_global:repro.kernels.exploitable._ROW_MASKS",
     "mutates_global:repro.kernels.legalize._BUDGET_CACHE",
-    "mutates_global:repro.kernels.legalize._FREE_CUMSUM",
+    "mutates_global:repro.kernels.legalize._FREE_BITS",
     "mutates_global:repro.kernels.sta._CACHE",
     "mutates_global:repro.layout.pins._TABLES",
 )
@@ -119,20 +120,12 @@ def default_registry() -> ContractRegistry:
             # Kernels: each must stay bitwise-comparable with its
             # scalar test oracle, so kernels own no state and no
             # randomness.  Documented exceptions: `apply_line` is the
-            # one in-place primitive (callers own the usage grid), the
-            # `_mask_*` legalizer helpers filter a caller-owned scratch
-            # row in place, and the memo caches are observationally
-            # pure.
+            # one in-place primitive (callers own the usage grid), and
+            # the memo caches are observationally pure.
             Contract(
                 pattern="repro.kernels.routegrid.apply_line",
                 reason="documented in-place track-usage update",
                 allow=("mutates_arg:use",),
-                top_level_only=True,
-            ),
-            Contract(
-                pattern="repro.kernels.legalize._mask_*",
-                reason="documented in-place mask filter",
-                allow=("mutates_arg:allowed",),
                 top_level_only=True,
             ),
             Contract(

@@ -1,12 +1,15 @@
-"""Numpy kernels for the evaluator hot paths.
+"""Kernels for the evaluator hot paths.
 
 STA arrival/required propagation (:mod:`~repro.kernels.sta`), exploitable-
 site row filtering (:mod:`~repro.kernels.exploitable`), routing-grid track
 accounting, the pair router's one-gather shape scores and the code
 ranges behind its one-pass victim and congestion scans
-(:mod:`~repro.kernels.routegrid`), and the legalizer start search and ECO
-receiving-target scan (:mod:`~repro.kernels.legalize`) are implemented
-only here: the flow calls these functions directly.
+(:mod:`~repro.kernels.routegrid`), and the legalizer's position search
+and ECO receiving-target scan (:mod:`~repro.kernels.legalize`) are
+implemented only here: the flow calls these functions directly.  Most
+are numpy array passes; the position search works on row bitsets held
+as Python ints, where a row of a few hundred sites costs a handful of
+int operations and no numpy call overhead.
 
 Each kernel is **bitwise equal** to the plain per-element Python reading
 of its definition.  Those scalar readings live in ``tests/oracles/`` and

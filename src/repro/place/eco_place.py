@@ -17,11 +17,11 @@ from typing import List, Optional, Set
 from repro import obs
 from repro.errors import NetlistError
 from repro.geometry import Point
-from repro.kernels.legalize import receiving_target
+from repro.kernels.legalize import find_spot, receiving_target
 from repro.layout.layout import Layout
 from repro.layout.pins import pin_table
 from repro.place.budget import BudgetSet, build_budgets
-from repro.place.legalize import _try_rows_outward
+from repro.place.legalize import target_slot
 
 
 @dataclass
@@ -33,11 +33,15 @@ class EcoPlacementReport:
         total_displacement_um: Sum of L1 move distances (µm).
         unresolved_blockages: Blockages still over budget afterwards (their
             remaining movable content could not be relocated).
+        relocations: Relocations tried.
+        failed_relocations: Relocations that found no legal spot.
     """
 
     moved: List[str] = field(default_factory=list)
     total_displacement_um: float = 0.0
     unresolved_blockages: List[str] = field(default_factory=list)
+    relocations: int = 0
+    failed_relocations: int = 0
 
     @property
     def num_moved(self) -> int:
@@ -92,27 +96,17 @@ def _relocate(
     Returns the displacement in µm, or ``None`` when no spot was found (the
     cell is restored to its original position).
     """
-    tech = layout.technology
-    inst = layout.netlist.instance(name)
-    width = inst.width_sites
+    width = layout.netlist.instance(name).width_sites
     old = layout.placement(name)
     old_center = layout.cell_center(name)
 
     layout.unplace(name)
     budgets.release(old.row, old.start, width)
 
-    target_row = min(max(int(target.y / tech.row_height), 0), layout.num_rows - 1)
-    target_site = min(
-        max(int(target.x / tech.site_width - width / 2), 0),
-        layout.sites_per_row - width,
+    target_row, target_site = target_slot(layout, target, width)
+    spot = find_spot(
+        layout, budgets, width, target_row, target_site, row_search_radius
     )
-    spot = _try_rows_outward(
-        layout, budgets, name, width, target_row, target_site, row_search_radius
-    )
-    if spot is None:
-        spot = _try_rows_outward(
-            layout, budgets, name, width, target_row, target_site, layout.num_rows
-        )
     if spot is None:
         layout.place(name, old.row, old.start)
         budgets.commit(old.row, old.start, width)
@@ -151,6 +145,8 @@ def eco_place(
         report = _eco_place(layout, movable, row_search_radius, attract_point)
     if obs.is_enabled():
         obs.count("place.eco.moved_cells", report.num_moved)
+        obs.count("place.eco.relocations", report.relocations)
+        obs.count("place.eco.failed_relocations", report.failed_relocations)
         obs.count(
             "place.eco.unresolved_blockages", len(report.unresolved_blockages)
         )
@@ -208,6 +204,9 @@ def _eco_place(
                 attract_point,
             )
             moved = _relocate(layout, budgets, name, target, row_search_radius)
+            report.relocations += 1
+            if moved is None:
+                report.failed_relocations += 1
             if moved is not None and moved > 0:
                 report.moved.append(name)
                 report.total_displacement_um += moved

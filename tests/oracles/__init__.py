@@ -11,8 +11,10 @@ results:
 * ``exploitable._filtered_row_intervals`` —
   ``kernels.exploitable.filtered_row_intervals``;
 * ``cell_shift._below_weights`` — ``core.cell_shift._IncrementalBelow``;
-* ``legalize._best_start_in_row`` / ``legalize._receiving_target`` —
-  ``kernels.legalize.best_start_in_row`` / ``receiving_target``;
+* ``legalize._best_start_in_row`` / ``legalize._find_spot`` /
+  ``legalize._receiving_target`` — ``kernels.legalize.best_start_in_row``
+  / ``find_spot`` / ``receiving_target``;
+* ``density._used`` — ``place.density.DensityMap``'s per-bin used area;
 * ``routegrid.*`` — grid accounting (``kernels.routegrid.apply_line``),
   the shape scores of ``kernels.routegrid.code_scores`` (per piece,
   ``segment_congestion``), and the router's one-pass congestion factors

@@ -1,16 +1,19 @@
-"""Scalar oracles for the legalizer start search and the ECO target scan.
+"""Scalar oracles for the legalizer position search and the ECO target scan.
 
 ``_best_start_in_row`` enumerates a row's free gaps, subtracts the
 starts a blockage budget forbids by interval algebra, and clamps the
-target into each surviving piece.  ``_receiving_target`` walks the
-budgets one by one for the cheapest soft blockage with headroom.  The
-kernels in :mod:`repro.kernels.legalize` answer the same queries on
-site bitmaps and budget arrays.
+target into each surviving piece.  ``_try_rows_outward`` asks it row by
+row, outward from the target row, and ``_find_spot`` runs that scan the
+way the placers did: over a window of rows, then, when the window holds
+nothing, over the whole core.  ``_receiving_target`` walks the budgets
+one by one for the cheapest soft blockage with headroom.  The kernels in
+:mod:`repro.kernels.legalize` answer the same queries on row bitsets and
+budget arrays.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.geometry import Interval, Point, merge_intervals, subtract_intervals
 from repro.layout.layout import Layout
@@ -70,6 +73,52 @@ def _best_start_in_row(
             if best_cost is None or cost < best_cost:
                 best, best_cost = cand, cost
     return best
+
+
+def _try_rows_outward(
+    layout: Layout,
+    budgets: BudgetSet,
+    width: int,
+    target_row: int,
+    target_site: int,
+    radius: int,
+) -> Optional[Tuple[int, int]]:
+    """Scan rows outward from ``target_row``; return the cheapest position."""
+    best: Optional[Tuple[int, int]] = None
+    best_cost: Optional[float] = None
+    for dr in range(radius + 1):
+        for row in {target_row - dr, target_row + dr}:
+            if not 0 <= row < layout.num_rows:
+                continue
+            start = _best_start_in_row(layout, budgets, row, target_site, width)
+            if start is None:
+                continue
+            cost = abs(start - target_site) + dr * 4.0  # row moves cost more
+            if best_cost is None or cost < best_cost:
+                best, best_cost = (row, start), cost
+        # Early exit: a same-row hit with zero displacement can't be beaten.
+        if best_cost is not None and best_cost <= dr * 4.0:
+            return best
+    return best
+
+
+def _find_spot(
+    layout: Layout,
+    budgets: BudgetSet,
+    width: int,
+    target_row: int,
+    target_site: int,
+    radius: int,
+) -> Optional[Tuple[int, int]]:
+    """The window of ``radius`` rows, then, if it is empty, the whole core."""
+    spot = _try_rows_outward(
+        layout, budgets, width, target_row, target_site, radius
+    )
+    if spot is None:
+        spot = _try_rows_outward(
+            layout, budgets, width, target_row, target_site, layout.num_rows
+        )
+    return spot
 
 
 def _receiving_target(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.geometry import Rect
 from repro.layout.blockage import PlacementBlockage
 from repro.place.budget import build_budgets
@@ -83,3 +84,37 @@ class TestEcoPlace:
         report = eco_place(layout)
         if report.num_moved:
             assert report.total_displacement_um > 0
+
+    def test_relocation_counters(self, tiny_design):
+        # The left half's cap is out of reach and the right half has
+        # little room: some relocations find no legal spot at all.
+        layout = tiny_design["layout"].clone()
+        core = layout.core
+        half = core.width / 2
+        layout.add_blockage(
+            PlacementBlockage(
+                "left", Rect(0, 0, half, core.height), max_density=0.25
+            )
+        )
+        layout.add_blockage(
+            PlacementBlockage(
+                "right", Rect(half, 0, core.width, core.height),
+                max_density=0.7,
+            )
+        )
+        obs.disable()
+        obs.get_metrics().reset()
+        obs.enable()
+        try:
+            report = eco_place(layout)
+            snapshot = obs.get_metrics().snapshot()
+        finally:
+            obs.disable()
+            obs.get_metrics().reset()
+        tried = snapshot["place.eco.relocations"]["value"]
+        failed = snapshot["place.eco.failed_relocations"]["value"]
+        assert (tried, failed) == (
+            report.relocations, report.failed_relocations
+        )
+        assert 0 < failed < tried
+        assert report.num_moved + failed <= tried
