@@ -207,6 +207,49 @@ class Layout:
         self._placements[instance_name] = Placement(row=row, start=start)
         self._write_slot(instance_name, row, start, inst.width_sites)
 
+    def rewrite_row(self, row: int, starts: Sequence[int]) -> None:
+        """Shift every cell of ``row`` at once, keeping their order.
+
+        ``starts[i]`` is the new start site of the row's ``i``-th cell
+        from the left.  The row is rewritten in place
+        (:meth:`RowOccupancy.rewrite`), and each moved cell's placement
+        entry keeps its position in :attr:`placements`.
+
+        Raises:
+            LayoutError: When a fixed cell would move, or the row rejects
+                ``starts``.  Nothing is changed then.
+        """
+        occ = self.occupancy[row]
+        moved = [
+            (p, start) for p, start in zip(occ, starts) if start != p.start
+        ]
+        for p, _ in moved:
+            if p.name in self.fixed:
+                raise LayoutError(f"{p.name!r} is fixed")
+        occ.rewrite(starts)
+        placements = self._placements
+        for p, start in moved:
+            placements[p.name] = Placement(row=row, start=start)
+            self._write_slot(p.name, row, start, p.width)
+
+    def reorder_fixed_first(self) -> None:
+        """List the fixed cells first in :attr:`placements`, then the rest.
+
+        Each group keeps its prior order.  That is the order unplacing and
+        re-placing every movable cell leaves, and the order the density
+        map adds bin areas in.
+        """
+        placements = self._placements
+        movable = [
+            (name, pl) for name, pl in placements.items()
+            if name not in self.fixed
+        ]
+        if len(movable) == len(placements):
+            return
+        for name, _ in movable:
+            del placements[name]
+        placements.update(movable)
+
     def _write_slot(self, name: str, row: int, start: int, width: int) -> None:
         """Record the centre of ``name`` at ``(row, start)`` in the lists.
 

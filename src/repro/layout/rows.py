@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import LayoutError
 from repro.geometry import Interval
@@ -166,6 +166,42 @@ class RowOccupancy:
         j = self._index_at_or_after(new_start)
         self._starts.insert(j, new_start)
         self._items.insert(j, p)
+        self.version += 1
+
+    def rewrite(self, starts: Sequence[int]) -> None:
+        """Shift every cell of the row at once, keeping their order.
+
+        ``starts[i]`` is the new start site of the ``i``-th cell from the
+        left.  The sorted lists and the placement records are rewritten in
+        place, and :attr:`version` is bumped once.
+
+        Raises:
+            LayoutError: When ``starts`` does not give one start per cell,
+                or a cell would overlap its left neighbour or leave the
+                row.  The row and its version are then unchanged.
+        """
+        items = self._items
+        if len(starts) != len(items):
+            raise LayoutError(
+                f"row {self.row.index} holds {len(items)} cells, "
+                f"got {len(starts)} starts"
+            )
+        end = 0
+        for p, start in zip(items, starts):
+            if start < end:
+                raise LayoutError(
+                    f"cannot shift {p.name!r} to row {self.row.index} site "
+                    f"{start}: overlaps its left neighbour or leaves the row"
+                )
+            end = start + p.width
+        if end > self.row.num_sites:
+            raise LayoutError(
+                f"cannot shift {items[-1].name!r} past the end of row "
+                f"{self.row.index}"
+            )
+        for p, start in zip(items, starts):
+            p.start = start
+        self._starts = list(starts)
         self.version += 1
 
     def cell_right_of(self, site: int) -> Optional[RowPlacement]:

@@ -5,7 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.errors import LayoutError
 from repro.geometry import Interval
+from repro.layout.layout import Layout, Placement
 from repro.layout.rows import CoreRow, RowOccupancy
+from repro.netlist.netlist import Netlist
+from repro.tech.library import nangate45_library
+from repro.tech.technology import nangate45_like
 
 
 @pytest.fixture()
@@ -57,6 +61,86 @@ class TestPlacement:
         # a must still be in place after the failed move
         assert row.occupant_at(5).name == "a"
         row.check_invariants()
+
+
+class TestRewrite:
+    def test_shifts_cells_in_place_and_bumps_version_once(self, row):
+        a = row.place("a", 5, 3)
+        row.place("b", 20, 3)
+        version = row.version
+        row.rewrite([0, 3])
+        assert row.starts == [0, 3]
+        assert [(p.name, p.start) for p in row] == [("a", 0), ("b", 3)]
+        assert row.placements[0] is a
+        assert row.version == version + 1
+        row.check_invariants()
+
+    @pytest.mark.parametrize("starts", [
+        [5, 7],      # b overlaps a
+        [20, 5],     # order swapped
+        [-1, 20],    # left of the row
+        [5, 48],     # past the row's end
+        [5],         # one start short
+        [5, 20, 30],
+    ])
+    def test_rejected_rewrite_leaves_the_row(self, row, starts):
+        row.place("a", 5, 3)
+        row.place("b", 20, 3)
+        version = row.version
+        with pytest.raises(LayoutError):
+            row.rewrite(starts)
+        assert row.starts == [5, 20]
+        assert [(p.name, p.start) for p in row] == [("a", 5), ("b", 20)]
+        assert row.version == version
+        row.check_invariants()
+
+
+class TestLayoutRewriteRow:
+    @pytest.fixture()
+    def layout(self):
+        netlist = Netlist("rewrite", nangate45_library())
+        layout = Layout(netlist, nangate45_like(), 2, 30)
+        for name, row, start in (
+            ("a", 0, 2), ("b", 1, 4), ("c", 0, 10), ("d", 0, 20),
+        ):
+            netlist.add_instance(name, "BUF_X1")
+            layout.place(name, row, start)
+        return layout
+
+    def test_rewrite_keeps_the_placement_order(self, layout):
+        layout.rewrite_row(0, [0, 3, 27])
+        assert list(layout.placements.items()) == [
+            ("a", Placement(0, 0)), ("b", Placement(1, 4)),
+            ("c", Placement(0, 3)), ("d", Placement(0, 27)),
+        ]
+        assert layout.cell_center("d") == layout.cell_rect("d").center
+        layout.validate()
+
+    @pytest.mark.parametrize("starts", [
+        [2, 12, 20],  # moves the fixed cell c
+        [9, 10, 20],  # a overlaps c
+        [2, 10, 28],  # d leaves the row
+        [2, 10],      # one start short
+    ])
+    def test_rejected_rewrite_changes_nothing(self, layout, starts):
+        layout.fixed.add("c")
+        occ = layout.occupancy[0]
+        version = occ.version
+        before = list(layout.placements.items())
+        with pytest.raises(LayoutError):
+            layout.rewrite_row(0, starts)
+        assert occ.starts == [2, 10, 20]
+        assert occ.version == version
+        assert list(layout.placements.items()) == before
+        layout.validate()
+
+    def test_reorder_fixed_first(self, layout):
+        layout.fixed.update({"b", "d"})
+        layout.reorder_fixed_first()
+        assert list(layout.placements) == ["b", "d", "a", "c"]
+        layout.fixed.clear()
+        layout.reorder_fixed_first()
+        assert list(layout.placements) == ["b", "d", "a", "c"]
 
 
 class TestNeighborQueries:

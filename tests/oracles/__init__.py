@@ -11,6 +11,8 @@ results:
 * ``exploitable._filtered_row_intervals`` —
   ``kernels.exploitable.filtered_row_intervals``;
 * ``cell_shift._below_weights`` — ``core.cell_shift._IncrementalBelow``;
+* ``cell_shift.cell_shift`` — ``core.cell_shift.cell_shift``'s
+  ``"respace"`` strategy, as mutations of layout copies;
 * ``legalize._best_start_in_row`` / ``legalize._find_spot`` /
   ``legalize._receiving_target`` — ``kernels.legalize.best_start_in_row``
   / ``find_spot`` / ``receiving_target``;
