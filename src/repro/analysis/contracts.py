@@ -120,12 +120,13 @@ def default_registry() -> ContractRegistry:
             # Kernels: each must stay bitwise-comparable with its
             # scalar test oracle, so kernels own no state and no
             # randomness.  Documented exceptions: `apply_line` is the
-            # one in-place primitive (callers own the usage grid), and
-            # the memo caches are observationally pure.
+            # one in-place primitive (callers own the usage grid and
+            # the ratio grid kept in step with it), and the memo caches
+            # are observationally pure.
             Contract(
                 pattern="repro.kernels.routegrid.apply_line",
-                reason="documented in-place track-usage update",
-                allow=("mutates_arg:use",),
+                reason="documented in-place track-usage and ratio update",
+                allow=("mutates_arg:use", "mutates_arg:ratio"),
                 top_level_only=True,
             ),
             Contract(

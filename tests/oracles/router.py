@@ -1,5 +1,13 @@
 """Scalar oracle for the router.
 
+:func:`build_plan` is the per-net reading of
+:meth:`repro.route.router.RoutePlan.build`: each net's pin points as
+``Point`` lists, its HPWL from their bounding box, its spanning pairs
+from a scalar Prim loop or a sorted serpentine chain
+(:func:`_spanning_pairs`) and its base tier from a scan of the tier
+bounds.  The production plan gathers the pin table's flat slots and
+batches Prim over all nets with the same pin count.
+
 :func:`_route_pair` is the tier-by-tier reading of the production pair
 router (:func:`repro.route.router._route_pair` over the pair tables):
 for each candidate tier in order, :func:`_route_two_pin` lists every
@@ -18,7 +26,7 @@ each congestion factor from a per-cell walk of the net's segments.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +34,12 @@ from repro.geometry import Point, half_perimeter_wirelength
 from repro.route.grid import RoutingGrid
 from repro.route.ndr import NonDefaultRule
 from repro.route.router import (
+    _CLOCK_TIER,
+    _TIER_FRACTIONS,
     _TIERS,
     NetRoute,
     RoutePlan,
     RouteSegment,
-    _spanning_pairs,
-    assign_layer_tier,
 )
 
 from tests.oracles.routegrid import (
@@ -41,6 +49,91 @@ from tests.oracles.routegrid import (
     segment_congestion,
     victims_of,
 )
+
+
+def _spanning_pairs(points: Sequence[Point]) -> List[Tuple[Point, Point]]:
+    """Spanning pin pairs of one net, ``len(points) - 1`` of them.
+
+    Up to 24 pins: Prim-style nearest-neighbor pairs grown from the first
+    pin.  Each step scans the remaining pins in order and, for each, the
+    joined pins in joining order, and joins the first pair at the
+    strictly least Manhattan distance as ``(joined pin, new pin)``.
+    High-fanout nets (clocks, resets) fall back to a serpentine
+    (boustrophedon) chain: pins sorted by 5 µm y-band ``int(y / 5)``,
+    then by x, ascending in even bands and descending in odd ones (a
+    stable sort keeps ties in point order), and consecutive pins
+    connected — close to an MST for spread-out pin sets like clock
+    leaves, and O(n log n).
+    """
+    if len(points) < 2:
+        return []
+    if len(points) > 24:
+        band = 5.0  # µm
+
+        def key(p: Point):
+            b = int(p.y / band)
+            return (b, p.x if b % 2 == 0 else -p.x)
+
+        chain = sorted(points, key=key)
+        return list(zip(chain, chain[1:]))
+    connected = [points[0]]
+    remaining = list(points[1:])
+    pairs: List[Tuple[Point, Point]] = []
+    while remaining:
+        best = None
+        best_d = float("inf")
+        for i, p in enumerate(remaining):
+            for q in connected:
+                d = p.manhattan_distance(q)
+                if d < best_d:
+                    best_d = d
+                    best = (i, q)
+        i, q = best  # type: ignore[misc]
+        p = remaining.pop(i)
+        connected.append(p)
+        pairs.append((q, p))
+    return pairs
+
+
+def build_plan(layout) -> RoutePlan:
+    """The route plan of ``layout``, net by net.
+
+    Nets with a sink and at least two pin points, stably sorted by HPWL;
+    a clock net's base tier is the top one, any other net's the first
+    tier whose HPWL bound (a fraction of the core semi-perimeter) admits
+    it.  An unplaced pin instance raises ``net_pin_points``'
+    ``LayoutError``.
+    """
+    clock_nets = layout.netlist.clock_nets()
+    core_scale = layout.core.width + layout.core.height
+    nets = []
+    for net in layout.netlist.nets:
+        points = layout.net_pin_points(net.name) if net.num_sinks else []
+        if len(points) >= 2:
+            nets.append(
+                (half_perimeter_wirelength(points), net.name, _spanning_pairs(points))
+            )
+    nets.sort(key=lambda item: item[0])
+    base_tiers = []
+    rows = []
+    offsets = [0]
+    for hpwl, name, pairs in nets:
+        if name in clock_nets:
+            base_tiers.append(_CLOCK_TIER)
+        else:
+            rel = hpwl / max(core_scale, 1e-9)
+            base_tiers.append(
+                next(i for i, bound in enumerate(_TIER_FRACTIONS) if rel <= bound)
+            )
+        rows += [(p.x, p.y, q.x, q.y) for p, q in pairs]
+        offsets.append(len(rows))
+    return RoutePlan(
+        layout,
+        [name for _, name, _ in nets],
+        bytes(base_tiers),
+        np.array(rows, dtype=float).reshape(-1, 4),
+        np.array(offsets, dtype=np.intp),
+    )
 
 
 def _gcell_line(
@@ -213,36 +306,18 @@ class OracleRoute(NamedTuple):
 def _net_inputs(layout, plan: Optional[RoutePlan]):
     """(name, base tier, pin pairs) per net, in routing order.
 
-    Read from ``plan`` when given, else derived from the layout: nets
-    with a sink and two or more pin points, shortest HPWL first.
+    Read from ``plan`` when given, else from :func:`build_plan`.
     """
     k = layout.technology.num_layers
-    if plan is not None:
-        for i, name in enumerate(plan.nets):
-            rows = plan.pairs[plan.offsets[i]:plan.offsets[i + 1]].tolist()
-            yield (
-                name,
-                _clamp(*_TIERS[plan.base_tiers[i]], k),
-                [(Point(x1, y1), Point(x2, y2)) for x1, y1, x2, y2 in rows],
-            )
-        return
-    clock_nets = layout.netlist.clock_nets()
-    core_scale = layout.core.width + layout.core.height
-    points = {
-        n.name: layout.net_pin_points(n.name)
-        for n in layout.netlist.nets
-        if n.num_sinks >= 1
-    }
-    names = [name for name, pts in points.items() if len(pts) >= 2]
-    names.sort(key=lambda name: half_perimeter_wirelength(points[name]))
-    for name in names:
-        base = assign_layer_tier(
-            half_perimeter_wirelength(points[name]),
-            name in clock_nets,
-            k,
-            core_scale,
+    if plan is None:
+        plan = build_plan(layout)
+    for i, name in enumerate(plan.nets):
+        rows = plan.pairs[plan.offsets[i]:plan.offsets[i + 1]].tolist()
+        yield (
+            name,
+            _clamp(*_TIERS[plan.base_tiers[i]], k),
+            [(Point(x1, y1), Point(x2, y2)) for x1, y1, x2, y2 in rows],
         )
-        yield name, base, _spanning_pairs(points[name])
 
 
 def global_route(

@@ -1,18 +1,29 @@
 """Tests for the global router."""
 
+import numpy as np
 import pytest
 
+from repro.bench.designs import build_design
 from repro.errors import RoutingError
 from repro.geometry import Point, half_perimeter_wirelength
+from repro.kernels.routegrid import spanning_pairs
 from repro.route.ndr import NonDefaultRule
 from repro.route.router import (
     RoutePlan,
-    _spanning_pairs,
     assign_layer_tier,
     global_route,
 )
 
 from tests.golden.test_route_digest import route_digest
+
+
+def _spanning_pairs(points):
+    """The kernel's pairs of one net with pins ``points``."""
+    return spanning_pairs(
+        np.array([p.x for p in points], dtype=float),
+        np.array([p.y for p in points], dtype=float),
+        np.array([len(points)]),
+    )
 
 
 class TestSpanningPairs:
@@ -30,7 +41,7 @@ class TestSpanningPairs:
         assert len(pairs) == 39
 
     def test_single_point_empty(self):
-        assert _spanning_pairs([Point(0, 0)]) == []
+        assert len(_spanning_pairs([Point(0, 0)])) == 0
 
 
 class TestLayerTier:
@@ -147,3 +158,34 @@ class TestRoutePlan:
         plan = global_route(layout).plan
         with pytest.raises(RoutingError, match="another layout"):
             global_route(layout.clone(), plan=plan)
+
+    def test_plan_is_stale_after_a_move(self):
+        """A cell moved in place after the build makes the plan stale.
+
+        Routing it would route the old pin positions: a fresh plan's
+        pairs differ.
+        """
+        layout = build_design("PRESENT").layout.clone()
+        plan = RoutePlan.build(layout)
+        name = "kctl_1"
+        placement = layout.placement(name)
+        width = layout.netlist.instance(name).width_sites
+        occ = layout.occupancy[placement.row]
+        start = next(
+            s for s in range(layout.sites_per_row)
+            if s != placement.start and occ.can_place(s, width)
+        )
+        layout.move_in_row(name, start)
+        assert plan.is_stale()
+        assert RoutePlan.build(layout).pairs.tobytes() != plan.pairs.tobytes()
+        with pytest.raises(RoutingError, match="stale"):
+            global_route(layout, plan=plan)
+
+    def test_plan_is_stale_after_a_netlist_change(self, small_layout):
+        plan = RoutePlan.build(small_layout)
+        assert not plan.is_stale()
+        global_route(small_layout, plan=plan)
+        small_layout.netlist.add_net("extra")
+        assert plan.is_stale()
+        with pytest.raises(RoutingError, match="stale"):
+            global_route(small_layout, plan=plan)
