@@ -18,9 +18,13 @@ results:
   / ``find_spot`` / ``receiving_target``;
 * ``density._used`` — ``place.density.DensityMap``'s per-bin used area;
 * ``routegrid.*`` — grid accounting (``kernels.routegrid.apply_line``),
-  the shape scores of ``kernels.routegrid.code_scores`` (per piece,
-  ``segment_congestion``), and the router's one-pass congestion factors
-  and rip-up victims (per net, ``route_worst_ratio`` / ``victims_of``);
+  the shape scores of ``kernels.routegrid.code_scores`` over a ratio
+  grid (per piece, ``segment_congestion``), and the router's one-pass
+  congestion factors and rip-up victims (per net, ``route_worst_ratio``
+  / ``victims_of``);
+* ``router.build_plan`` — ``route.router.RoutePlan.build``, net by net
+  (``router._spanning_pairs``, the scalar reading of
+  ``kernels.routegrid.spanning_pairs``);
 * ``router._route_pair`` — ``route.router._route_pair``, the tier loop
   one tier and one piece at a time (``router._route_two_pin``);
 * ``router.global_route`` — ``route.router.global_route``, the whole
