@@ -5,12 +5,13 @@ the violations that matter (and the ones the paper's defenses actually
 cause — BISA's >90 % local density breaks pin access and routing spacing)
 are:
 
-* **placement** — overlapping cells, cells outside the core, or cells
-  violating a hard blockage.  Healthy layouts have zero.
-* **congestion** — gcell×layer bins whose routed usage exceeds capacity.
-  Each overflowed bin is counted once: in a real flow every overflowed
-  gcell materializes as a handful of shorts/spacing violations, so the
-  count is the right order of magnitude.
+* **placement** — one per ``overlap`` or ``out_of_row`` row-scan finding
+  and one per hard-blockage hit; ``Layout.validate`` and lint L001–L003
+  read the same scans (``Layout.findings``).  Healthy layouts have zero.
+* **congestion** — gcell×layer bins whose routed usage exceeds
+  :func:`overflow_limit`.  Each overflowed bin is counted once: in a real
+  flow every overflowed gcell materializes as a handful of shorts/spacing
+  violations, so the count is the right order of magnitude.
 * **pin access** — placement bins packed above ``PIN_ACCESS_DENSITY``
   where the router also has little slack; modeled as one violation per
   such bin.
@@ -19,7 +20,7 @@ are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -44,6 +45,14 @@ _PIN_BINS = 16
 #: marginal violations, a documented deviation).
 OVERFLOW_RATIO = 1.62
 OVERFLOW_MARGIN = 8.0
+
+#: Row-scan finding kinds that count as placement violations.
+PLACEMENT_KINDS = frozenset({"overlap", "out_of_row"})
+
+
+def overflow_limit(capacity: np.ndarray) -> np.ndarray:
+    """Routed usage above which a gcell × layer bin is a DRC violation."""
+    return np.maximum(capacity * OVERFLOW_RATIO, capacity + OVERFLOW_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -81,74 +90,41 @@ def check_drc(layout: Layout, routing: Optional[object] = None) -> DrcReport:
 
 
 def _check_placement(layout: Layout, report: DrcReport) -> None:
-    """Overlaps, out-of-core cells, and hard-blockage violations."""
-    for occ in layout.occupancy:
-        report.violations.extend(_row_violations(occ))
-    for blockage in layout.blockages.values():
-        if not blockage.is_hard:
-            continue
-        for name in layout.instances_in_rect(blockage.rect):
-            report.violations.append(
-                DrcViolation(
-                    "placement", f"{name} inside hard blockage {blockage.name}"
-                )
-            )
+    """Overlaps, out-of-row cells, and hard-blockage violations."""
+    report.violations.extend(
+        DrcViolation("placement", finding.message)
+        for occ in layout.occupancy
+        for finding in occ.findings()
+        if finding.kind in PLACEMENT_KINDS
+    )
+    report.violations.extend(
+        DrcViolation("placement", f"{name!r} inside hard blockage {b.name!r}")
+        for b, name in layout.hard_blockage_hits()
+    )
 
 
-def _row_violations(occ: RowOccupancy) -> List[DrcViolation]:
-    """Overlaps and out-of-row cells of one row, left to right."""
-    found: List[DrcViolation] = []
-    prev_end = 0
-    prev_name = ""
-    for p in occ:
-        if p.start < prev_end:
-            found.append(
-                DrcViolation(
-                    "placement",
-                    f"{p.name} overlaps {prev_name} in row {occ.row.index}",
-                )
-            )
-        if p.end > occ.row.num_sites or p.start < 0:
-            found.append(
-                DrcViolation("placement", f"{p.name} outside row {occ.row.index}")
-            )
-        prev_end = max(prev_end, p.end)
-        prev_name = p.name
-    return found
-
-
-def placement_drc_delta(layout: Layout, rows: Dict[int, RowOccupancy]) -> int:
+def placement_drc_delta(layout: Layout, rows: Mapping[int, RowOccupancy]) -> int:
     """Change of ``check_drc(layout).count`` were ``rows`` swapped in.
 
     ``rows`` maps row indices to replacement occupancies (``layout`` is
-    not touched).  Only those rows are rescanned: the per-row overlap
-    scan, then each hard blockage's hits inside them.
+    not touched).  Only those rows are rescanned, before and after.
     """
-    delta = 0
-    for index, occ in rows.items():
-        delta += len(_row_violations(occ))
-        delta -= len(_row_violations(layout.occupancy[index]))
-    for blockage in layout.blockages.values():
-        if not blockage.is_hard:
-            continue
-        rect = blockage.rect
-        touched = layout.rows_in_rect(rect)
-        for index, occ in rows.items():
-            if index in touched:
-                delta += len(layout.occupants_in_rect(occ, rect))
-                delta -= len(
-                    layout.occupants_in_rect(layout.occupancy[index], rect)
-                )
-    return delta
+    own = {index: layout.occupancy[index] for index in rows}
+    return _placement_count(layout, rows) - _placement_count(layout, own)
+
+
+def _placement_count(layout: Layout, rows: Mapping[int, RowOccupancy]) -> int:
+    """Placement violations in ``rows``, read in place of the layout's."""
+    hits = list(layout.hard_blockage_hits(rows))
+    return len(hits) + sum(
+        f.kind in PLACEMENT_KINDS for occ in rows.values() for f in occ.findings()
+    )
 
 
 def _check_congestion(routing: object, report: DrcReport) -> None:
     """One violation per severely overflowed gcell × layer bin."""
     grid = routing.grid
-    threshold = np.maximum(
-        grid.capacity * OVERFLOW_RATIO, grid.capacity + OVERFLOW_MARGIN
-    )
-    excess = grid.usage - threshold
+    excess = grid.usage - overflow_limit(grid.capacity)
     for layer, ix, iy in np.argwhere(excess > 0):
         report.violations.append(
             DrcViolation(

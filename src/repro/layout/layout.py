@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.geometry import Interval, Point, Rect
 from repro.layout.blockage import PlacementBlockage
 from repro.layout.gaps import GapGraph
 from repro.layout.pins import instance_indices, pin_table
-from repro.layout.rows import CoreRow, RowOccupancy
+from repro.layout.rows import CoreRow, Finding, RowOccupancy
 from repro.netlist.netlist import Netlist
 from repro.tech.technology import Technology
 
@@ -549,21 +549,63 @@ class Layout:
         other._cy = list(self._cy)
         return other
 
-    def validate(self) -> None:
-        """Check placement/occupancy consistency; raise on corruption."""
-        placed = 0
+    def findings(self) -> Iterator[Finding]:
+        """Every placement-legality defect, row by row.
+
+        A row's own findings (:meth:`RowOccupancy.findings`), then per
+        record ``map`` (the placement map disagrees), ``unknown`` (not in
+        the netlist) and ``width`` (not its master's); last one ``ghost``
+        per map entry no record names.
+        """
+        placements, netlist = self._placements, self.netlist
         for occ in self.occupancy:
-            occ.check_invariants()
+            index = occ.row.index
+            yield from occ.findings()
             for p in occ:
-                pl = self._placements.get(p.name)
-                if pl is None or pl.row != occ.row.index or pl.start != p.start:
-                    raise LayoutError(f"placement map desynchronized at {p.name!r}")
-                inst = self.netlist.instance(p.name)
-                if inst.width_sites != p.width:
-                    raise LayoutError(f"{p.name!r} width mismatch")
-                placed += 1
-        if placed != len(self._placements):
-            raise LayoutError("placement map contains ghosts")
+                pl = placements.get(p.name)
+                if pl is None or pl.row != index or pl.start != p.start:
+                    yield Finding("map", index, p.name,
+                                  f"placement map desynchronized at {p.name!r}")
+                if not netlist.has_instance(p.name):
+                    yield Finding("unknown", index, p.name,
+                                  f"placed cell {p.name!r} is not in the netlist")
+                    continue
+                master = netlist.instance(p.name).master
+                if master.width_sites != p.width:
+                    yield Finding("width", index, p.name,
+                                  f"{p.name!r} is {p.width} sites wide, master "
+                                  f"{master.name} is {master.width_sites}")
+        named = {p.name for occ in self.occupancy for p in occ}
+        for name, placed in placements.items():
+            if name not in named:
+                yield Finding("ghost", placed.row, name,
+                              f"placement map holds ghost {name!r}")
+
+    def hard_blockage_hits(
+        self, rows: Optional[Mapping[int, RowOccupancy]] = None
+    ) -> Iterator[Tuple[PlacementBlockage, str]]:
+        """``(blockage, cell)`` for every cell inside a hard blockage.
+
+        ``rows`` maps row indices to substitute occupancies; given, only
+        those rows are read, in place of the layout's own.
+        """
+        if rows is None:
+            rows = dict(enumerate(self.occupancy))
+        for b in self.blockages.values():
+            if b.is_hard:
+                for index in self.rows_in_rect(b.rect):
+                    if index in rows:
+                        for name in self.occupants_in_rect(rows[index], b.rect):
+                            yield b, name
+
+    def validate(self) -> None:
+        """Raise :class:`LayoutError` on the first :meth:`findings` finding.
+
+        Also on a stale position list.  A cell inside a hard blockage
+        passes: it breaks a design rule (#DRC, lint L003), not the data.
+        """
+        for finding in self.findings():
+            raise LayoutError(finding.message)
         self._validate_slots()
 
     def _validate_slots(self) -> None:

@@ -12,10 +12,30 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.errors import LayoutError
 from repro.geometry import Interval
+
+#: Every :class:`Finding` kind: the row scan's, then ``Layout.findings``'.
+FINDING_KINDS = ("index", "overlap", "out_of_row", "empty",
+                 "map", "unknown", "width", "ghost")
+
+
+class Finding(NamedTuple):
+    """One placement-legality defect a scan found.
+
+    Attributes:
+        kind: One of :data:`FINDING_KINDS`.
+        row: The row it sits in.
+        name: The instance it concerns ("" for a whole row).
+        message: One line that says what is wrong and where.
+    """
+
+    kind: str
+    row: int
+    name: str
+    message: str
 
 
 @dataclass(frozen=True)
@@ -250,16 +270,36 @@ class RowOccupancy:
         gaps = self.free_intervals()
         return max((len(g) for g in gaps), default=0)
 
-    def check_invariants(self) -> None:
-        """Assert internal consistency; used by tests and debug builds."""
-        prev_end = 0
-        for start, p in zip(self._starts, self._items):
-            if start != p.start:
-                raise LayoutError("row index desynchronized")
-            if p.start < prev_end:
-                raise LayoutError(
-                    f"overlap in row {self.row.index} at site {p.start}"
-                )
-            if p.end > self.row.num_sites:
-                raise LayoutError(f"{p.name!r} exceeds row {self.row.index}")
-            prev_end = p.end
+    def findings(self) -> Iterator[Finding]:
+        """This row's legality defects, in one pass from left to right.
+
+        Per record ``index`` (its index entry is missing or differs),
+        ``overlap``, ``out_of_row`` and ``empty`` (width below 1); last
+        one ``index`` for surplus index entries.
+        """
+        index, num_sites = self.row.index, self.row.num_sites
+        starts, items = self._starts, self._items
+        n = len(starts)
+        # The first record has no left neighbour to overlap.
+        prev_end = items[0].start if items else 0
+        prev_name = ""
+        for i, p in enumerate(items):
+            start = p.start
+            end = start + p.width
+            if i >= n or starts[i] != start:
+                yield Finding("index", index, p.name,
+                              f"row {index} index desynchronized at {p.name!r}")
+            if start < prev_end:
+                yield Finding("overlap", index, p.name,
+                              f"{p.name!r} overlaps {prev_name!r} in row {index}")
+            if start < 0 or end > num_sites:
+                yield Finding("out_of_row", index, p.name,
+                              f"{p.name!r} at [{start}, {end}) leaves row {index}")
+            if p.width < 1:
+                yield Finding("empty", index, p.name,
+                              f"{p.name!r} has non-positive width {p.width}")
+            if end > prev_end:
+                prev_end, prev_name = end, p.name
+        if n > len(items):
+            yield Finding("index", index, "",
+                          f"row {index} index has {n - len(items)} surplus starts")

@@ -13,13 +13,16 @@ error the derived rule is skipped — its input is already known-corrupt,
 and re-diagnosing the same damage under a second id would bury the root
 cause (the same reason compilers suppress cascaded errors).
 
+L001 and L002 split the layout's legality scan (:meth:`Layout.findings`)
+by :data:`FINDING_RULES`; L003 reports :meth:`Layout.hard_blockage_hits`.
+
 Rule catalog:
 
 ========  ==================  ========  =========================================
 id        name                severity  checks
 ========  ==================  ========  =========================================
-L001      cell-overlap        error     row overlap, occupancy/placement desync
-L002      placement-bounds    error     off-row/off-grid cells, master width
+L001      cell-overlap        error     overlap; index/map desync; map ghosts
+L002      placement-bounds    error     off-row; unknown cell; empty/master width
 L003      blockage            error     hard-blockage breach; soft over-density
 L004      frozen-assets       error     assets placed; fixed cells immobile
 L005      gap-conservation    error     free + used sites == capacity, gap graph
@@ -46,7 +49,7 @@ from typing import (
 
 import numpy as np
 
-from repro.drc.checker import OVERFLOW_MARGIN, OVERFLOW_RATIO
+from repro.drc.checker import overflow_limit
 from repro.errors import ReproError
 from repro.layout.layout import Layout, Placement
 from repro.lint.violations import Severity, Violation
@@ -208,99 +211,45 @@ def select_rules(selectors: Optional[Sequence[str]] = None) -> List[Rule]:
 # ---------------------------------------------------------------------- #
 
 
+#: The structural rule that reports each :meth:`Layout.findings` kind.
+FINDING_RULES: Dict[str, str] = {
+    **dict.fromkeys(("index", "overlap", "map", "ghost"), CELL_OVERLAP),
+    **dict.fromkeys(("out_of_row", "empty", "unknown", "width"), PLACEMENT_BOUNDS),
+}
+
+
+def _emit_findings(layout: Layout, rule_id: str, emit: EmitFn) -> None:
+    """Emit the :meth:`Layout.findings` that ``rule_id`` reports."""
+    for finding in layout.findings():
+        if FINDING_RULES[finding.kind] == rule_id:
+            emit(finding.message, row=finding.row, instance=finding.name)
+
+
 @rule(
     CELL_OVERLAP,
     "cell-overlap",
     Severity.ERROR,
-    "Cells in a row must not overlap, and the row occupancy structures "
-    "must agree with the placement map (no desync, no ghosts).",
+    "Cells in a row must not overlap, and the row index and the placement "
+    "map must agree with the row records (no desync, no ghost entries).",
     "re-legalize the affected rows (repro.place.legalize) or rebuild the "
     "layout from its DEF; a desync means a mutation bypassed the Layout "
     "API.",
 )
 def _check_cell_overlap(ctx: LintContext, emit: EmitFn) -> None:
-    layout = ctx.layout
-    seen = 0
-    for occ in layout.occupancy:
-        prev_end = 0
-        prev_name = ""
-        for i, p in enumerate(occ.placements):
-            if occ.starts[i] != p.start:
-                emit(
-                    f"row index desynchronized at {p.name!r}",
-                    row=occ.row.index,
-                    instance=p.name,
-                )
-            if p.start < prev_end:
-                emit(
-                    f"{p.name!r} overlaps {prev_name!r}",
-                    row=occ.row.index,
-                    site=p.start,
-                    instance=p.name,
-                )
-            pl = layout.placements.get(p.name)
-            if pl is None or pl.row != occ.row.index or pl.start != p.start:
-                emit(
-                    f"placement map desynchronized at {p.name!r}",
-                    row=occ.row.index,
-                    instance=p.name,
-                )
-            prev_end = max(prev_end, p.end)
-            prev_name = p.name
-            seen += 1
-    if seen != len(layout.placements):
-        ghosts = sorted(
-            set(layout.placements)
-            - {p.name for occ in layout.occupancy for p in occ.placements}
-        )
-        emit(
-            f"placement map contains {len(layout.placements) - seen} "
-            f"ghost entries: {ghosts[:5]}",
-        )
+    _emit_findings(ctx.layout, CELL_OVERLAP, emit)
 
 
 @rule(
     PLACEMENT_BOUNDS,
     "placement-bounds",
     Severity.ERROR,
-    "Every cell must sit on-grid inside its row and occupy exactly its "
-    "master's width in sites.",
+    "Every cell must sit inside its row, be a netlist instance, and "
+    "occupy exactly its master's width (at least one site).",
     "move the cell back inside the core, or fix the width bookkeeping to "
     "match the library master.",
 )
 def _check_placement_bounds(ctx: LintContext, emit: EmitFn) -> None:
-    layout = ctx.layout
-    netlist = layout.netlist
-    for occ in layout.occupancy:
-        for p in occ.placements:
-            if p.start < 0 or p.end > occ.row.num_sites:
-                emit(
-                    f"{p.name!r} occupies sites [{p.start}, {p.end}) outside "
-                    f"row capacity {occ.row.num_sites}",
-                    row=occ.row.index,
-                    instance=p.name,
-                )
-            if p.width < 1:
-                emit(
-                    f"{p.name!r} has non-positive width {p.width}",
-                    row=occ.row.index,
-                    instance=p.name,
-                )
-            if not netlist.has_instance(p.name):
-                emit(
-                    f"placed cell {p.name!r} does not exist in the netlist",
-                    row=occ.row.index,
-                    instance=p.name,
-                )
-                continue
-            inst = netlist.instance(p.name)
-            if inst.width_sites != p.width:
-                emit(
-                    f"{p.name!r} occupies {p.width} sites but master "
-                    f"{inst.master.name} is {inst.width_sites} sites wide",
-                    row=occ.row.index,
-                    instance=p.name,
-                )
+    _emit_findings(ctx.layout, PLACEMENT_BOUNDS, emit)
 
 
 @rule(
@@ -322,14 +271,7 @@ def _check_blockage(ctx: LintContext, emit: EmitFn) -> None:
                 severity=Severity.WARNING,
                 blockage=b.name,
             )
-        if b.is_hard:
-            for inst in sorted(layout.instances_in_rect(b.rect)):
-                emit(
-                    f"{inst!r} intersects hard blockage {b.name!r}",
-                    blockage=b.name,
-                    instance=inst,
-                )
-        else:
+        if not b.is_hard:
             density = layout.region_density(b.rect)
             if density > b.max_density + _DENSITY_EPS:
                 emit(
@@ -338,6 +280,9 @@ def _check_blockage(ctx: LintContext, emit: EmitFn) -> None:
                     severity=Severity.WARNING,
                     blockage=b.name,
                 )
+    for b, inst in layout.hard_blockage_hits():
+        emit(f"{inst!r} intersects hard blockage {b.name!r}",
+             blockage=b.name, instance=inst)
 
 
 @rule(
@@ -499,9 +444,7 @@ def _check_pin_connectivity(ctx: LintContext, emit: EmitFn) -> None:
 )
 def _check_track_capacity(ctx: LintContext, emit: EmitFn) -> None:
     grid = ctx.routing.grid  # type: ignore[union-attr]
-    hard = np.maximum(
-        grid.capacity * OVERFLOW_RATIO, grid.capacity + OVERFLOW_MARGIN
-    )
+    hard = overflow_limit(grid.capacity)
     soft = np.maximum(
         grid.capacity * TRACK_SOFT_RATIO, grid.capacity + TRACK_SOFT_MARGIN
     )

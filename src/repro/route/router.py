@@ -881,7 +881,7 @@ def _repair_drc_hotspots(route: _Route, max_passes: int = 3) -> None:
     """Targeted repair of severely overflowed bins (detailed-router loop).
 
     The DRC checker only flags bins whose usage exceeds
-    ``max(capacity × OVERFLOW_RATIO, capacity + OVERFLOW_MARGIN)``; a real
+    :func:`repro.drc.checker.overflow_limit`; a real
     detailed router iterates on exactly those hotspots until they stop
     converging.  Each pass rips up only the nets crossing a violating bin
     and re-routes them one tier up, keeping a reroute only if it lowers
@@ -892,12 +892,10 @@ def _repair_drc_hotspots(route: _Route, max_passes: int = 3) -> None:
     relieve (genuinely oversubscribed corners) remain — those are the
     violations the checker reports.
     """
-    from repro.drc.checker import OVERFLOW_MARGIN, OVERFLOW_RATIO
+    from repro.drc.checker import overflow_limit
 
     grid = route.grid
-    threshold = np.maximum(
-        grid.capacity * OVERFLOW_RATIO, grid.capacity + OVERFLOW_MARGIN
-    )
+    threshold = overflow_limit(grid.capacity)
 
     def excess() -> float:
         return float(np.maximum(grid.usage - threshold, 0.0).sum())

@@ -60,7 +60,7 @@ class TestPlacement:
             row.move("a", 9)
         # a must still be in place after the failed move
         assert row.occupant_at(5).name == "a"
-        row.check_invariants()
+        assert not list(row.findings())
 
 
 class TestRewrite:
@@ -73,7 +73,7 @@ class TestRewrite:
         assert [(p.name, p.start) for p in row] == [("a", 0), ("b", 3)]
         assert row.placements[0] is a
         assert row.version == version + 1
-        row.check_invariants()
+        assert not list(row.findings())
 
     @pytest.mark.parametrize("starts", [
         [5, 7],      # b overlaps a
@@ -92,7 +92,7 @@ class TestRewrite:
         assert row.starts == [5, 20]
         assert [(p.name, p.start) for p in row] == [("a", 5), ("b", 20)]
         assert row.version == version
-        row.check_invariants()
+        assert not list(row.findings())
 
 
 class TestLayoutRewriteRow:
@@ -198,6 +198,6 @@ def test_property_no_overlap_after_any_placement_sequence(ops):
         if row.can_place(start, width):
             row.place(f"c{k}", start, width)
             placed += width
-    row.check_invariants()
+    assert not list(row.findings())
     assert row.used_sites() == placed
     assert sum(len(g) for g in row.free_intervals()) == 50 - placed

@@ -67,6 +67,20 @@ def _ghost_entry(layout):
     return {}
 
 
+def _index_short(layout):
+    layout.occupancy[0].starts.pop()
+    return {}
+
+
+def _ghost_behind_duplicate(layout):
+    # The duplicate record makes the row records as many as the map
+    # entries, so only a name-by-name check finds the ghost.
+    width = layout.netlist.instance("inv1").width_sites
+    layout.occupancy[2].place("inv1", 40, width)
+    layout.placements["phantom"] = Placement(row=0, start=50)
+    return {}
+
+
 def _out_of_row(layout):
     occ = layout.occupancy[0]
     last = occ.placements[-1]
@@ -74,6 +88,14 @@ def _out_of_row(layout):
     occ.starts[-1] = new_start
     last.start = new_start
     layout.placements[last.name] = Placement(row=0, start=new_start)
+    return {}
+
+
+def _negative_start(layout):
+    occ = layout.occupancy[0]
+    first = occ.placements[0]
+    occ.starts[0] = first.start = -2
+    layout.placements[first.name] = Placement(row=0, start=-2)
     return {}
 
 
@@ -147,7 +169,10 @@ MUTATIONS = [
     ("overlap", _overlap, "L001"),
     ("index-desync", _index_desync, "L001"),
     ("ghost-entry", _ghost_entry, "L001"),
+    ("index-short", _index_short, "L001"),
+    ("ghost-behind-duplicate", _ghost_behind_duplicate, "L001"),
     ("out-of-row", _out_of_row, "L002"),
+    ("negative-start", _negative_start, "L002"),
     ("width-mismatch", _width_mismatch, "L002"),
     ("hard-blockage-breach", _hard_blockage_breach, "L003"),
     ("asset-unplaced", _asset_unplaced, "L004"),
@@ -199,6 +224,16 @@ class TestMutations:
         assert rule_ids(report) == {expected}, report.format_text(verbose=True)
         assert report.errors >= 1
         assert report.exit_code(Severity.ERROR) == 1
+
+    def test_ghost_behind_a_duplicate_is_named(self):
+        layout = fresh_design()
+        _ghost_behind_duplicate(layout)
+        payload = json.loads(run_lint(layout).to_json())
+        assert any(
+            v["location"].get("instance") == "phantom"
+            and "ghost" in v["message"]
+            for v in payload["violations"]
+        ), payload
 
     def test_track_overflow_beyond_margin_is_error(self):
         layout = fresh_design()
