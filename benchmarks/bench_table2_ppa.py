@@ -35,7 +35,7 @@ LABELS = {
 def _metrics(outcome, kind: str):
     if kind == "original":
         d = outcome.design
-        power = analyze_power(d.layout, d.constraints, d.routing).total
+        power = analyze_power(d.layout, d.constraints, d.sta).total
         from repro.drc.checker import check_drc
 
         drc = check_drc(d.layout, d.routing).count
@@ -107,8 +107,8 @@ def test_table2_ppa_comparison(defense_matrix, benchmark):
     d0 = defense_matrix[designs[0]].design
 
     def ppa():
-        run_sta(d0.layout, d0.constraints, routing=d0.routing)
-        analyze_power(d0.layout, d0.constraints, d0.routing)
+        sta = run_sta(d0.layout, d0.constraints, routing=d0.routing)
+        analyze_power(d0.layout, d0.constraints, sta)
         check_drc(d0.layout, d0.routing)
 
     benchmark.pedantic(ppa, rounds=1, iterations=1)

@@ -21,7 +21,7 @@ def baseline_metrics(design: BuiltDesign, thresh_er: int = 20) -> Dict[str, floa
     Returns a dict with keys ``tns``, ``wns``, ``power``, ``drc``,
     ``er_sites``, ``er_tracks``, ``utilization``, ``cells``.
     """
-    power = analyze_power(design.layout, design.constraints, design.routing)
+    power = analyze_power(design.layout, design.constraints, design.sta)
     drc = check_drc(design.layout, design.routing)
     security = measure_security(
         design.layout,

@@ -171,7 +171,7 @@ class GDSIIGuard:
             thresh_er=thresh_er,
         )
         self.baseline_power = analyze_power(
-            baseline, constraints, self.baseline_routing
+            baseline, constraints, self._baseline_sta
         ).total
         from repro.security.exploitable import exploitable_distance
 
@@ -383,7 +383,7 @@ class GDSIIGuard:
             security = SecurityMetrics.from_report(res.security)
             score = security_score(security, self.baseline_security, self.alpha)
             with obs.timed("flow.power"):
-                power = analyze_power(layout, self.constraints, routing).total
+                power = analyze_power(layout, self.constraints, res.sta).total
             with obs.timed("flow.drc"):
                 drc = check_drc(layout, routing).count
         feasible = (

@@ -64,7 +64,7 @@ def evaluate_layout(
     security = measure_security(
         layout, sta, assets, routing=routing, thresh_er=thresh_er
     )
-    power = analyze_power(layout, constraints, routing)
+    power = analyze_power(layout, constraints, sta)
     drc = check_drc(layout, routing)
     return DefenseResult(
         name=name,

@@ -9,6 +9,7 @@ positions.  The netlist travels separately (structural Verilog, see
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Union
 
@@ -44,8 +45,19 @@ def layout_to_def(layout: Layout) -> str:
 def layout_from_def(
     text: str, netlist: Netlist, technology: Technology
 ) -> Layout:
-    """Parse :func:`layout_to_def` output back into a :class:`Layout`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse :func:`layout_to_def` output back into a :class:`Layout`.
+
+    Raises:
+        SerializationError: On a malformed or unknown record, a
+            non-finite number, or a ``PIN`` for a port the netlist lacks;
+            the message names the line.
+    """
+    numbered = [
+        (number, ln.strip())
+        for number, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip()
+    ]
+    lines = [ln for _, ln in numbered]
     if not lines or not lines[0].startswith("DESIGN "):
         raise SerializationError("expected DESIGN header")
     design = lines[0].split()[1]
@@ -63,7 +75,8 @@ def layout_from_def(
         raise SerializationError(f"malformed CORE line: {lines[1]!r}") from exc
 
     layout = Layout(netlist, technology, num_rows=num_rows, sites_per_row=sites_per_row)
-    for line in lines[2:]:
+    ports = {port.name for port in netlist.ports}
+    for number, line in numbered[2:]:
         if line == "END DESIGN":
             break
         tokens = line.split()
@@ -77,27 +90,42 @@ def layout_from_def(
                 if tokens[-1] == "FIXED":
                     layout.fixed.add(name)
             elif kind == "BLOCKAGE":
-                rect = Rect(
-                    float(tokens[3]),
-                    float(tokens[4]),
-                    float(tokens[5]),
-                    float(tokens[6]),
+                xlo, ylo, xhi, yhi, density = (
+                    _finite(tokens[i]) for i in (3, 4, 5, 6, 8)
                 )
                 layout.add_blockage(
                     PlacementBlockage(
-                        name=tokens[1], rect=rect, max_density=float(tokens[8])
+                        name=tokens[1],
+                        rect=Rect(xlo, ylo, xhi, yhi),
+                        max_density=density,
                     )
                 )
             elif kind == "PIN":
+                if tokens[1] not in ports:
+                    raise SerializationError(
+                        f"line {number}: PIN for unknown port {tokens[1]!r}"
+                    )
                 layout.port_positions[tokens[1]] = Point(
-                    float(tokens[3]), float(tokens[4])
+                    _finite(tokens[3]), _finite(tokens[4])
                 )
             else:
-                raise SerializationError(f"unknown record {kind!r}")
+                raise SerializationError(
+                    f"line {number}: unknown record {kind!r}"
+                )
         except (IndexError, ValueError) as exc:
-            raise SerializationError(f"malformed line: {line!r}") from exc
+            raise SerializationError(
+                f"line {number}: malformed record {line!r}: {exc}"
+            ) from exc
     layout.validate()
     return layout
+
+
+def _finite(token: str) -> float:
+    """``float(token)``, refusing ``inf`` and ``nan``."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
 
 
 def save_def(layout: Layout, path: Union[str, Path]) -> None:

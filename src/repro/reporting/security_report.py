@@ -100,7 +100,7 @@ def security_report(
         )
     lines.append("")
 
-    power = analyze_power(layout, constraints, routing)
+    power = analyze_power(layout, constraints, sta)
     drc = check_drc(layout, routing)
     lines += [
         "## Implementation status",

@@ -1,8 +1,10 @@
-"""Delay calculation: cell arcs plus lumped-Elmore wire delays.
+"""Wire parasitics and corner derates, the inputs of the delay model.
 
 Wire parasitics come from the router when a :class:`RoutingResult` is
 available; otherwise they are estimated from net HPWL with mid-stack layer
-constants (the standard pre-route estimate).  All delays are in ns,
+constants (the standard pre-route estimate).  The delay model itself —
+sink loads, lumped-Elmore wire delays and cell arc delays — is the
+levelized STA kernel's (:mod:`repro.kernels.sta`).  All delays are in ns,
 capacitance in fF, resistance in Ω.
 """
 
@@ -12,7 +14,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.geometry import Point, half_perimeter_wirelength
 from repro.layout.layout import Layout
-from repro.netlist.netlist import Net
 from repro.tech.technology import Technology
 
 #: Capacitive load presented by an output port (pad driver input), fF.
@@ -37,11 +38,14 @@ def hpwl_parasitics(
 
 
 class DelayCalculator:
-    """Computes net loads, wire delays, and cell arc delays for a layout.
+    """Per-net wire parasitics and the corner derates of one analysis.
 
     ``cell_derate`` / ``wire_derate`` scale the cell arc delays and wire
     RC respectively — the lever multi-corner (MMMC) analysis uses to model
-    slow/fast silicon and interconnect corners.
+    slow/fast silicon and interconnect corners.  Loads, wire delays and
+    arc delays are computed from these by the levelized STA kernel
+    (:mod:`repro.kernels.sta`).  Parasitics are cached per net, so a
+    calculator belongs to one placement and one routing.
     """
 
     def __init__(
@@ -75,53 +79,3 @@ class DelayCalculator:
             value = (value[0] * self.wire_derate, value[1] * self.wire_derate)
         self._parasitics_cache[net_name] = value
         return value
-
-    def sink_pin_load(self, net: Net) -> float:
-        """Total input-pin capacitance hanging on the net (fF)."""
-        total = 0.0
-        netlist = self.layout.netlist
-        for ref in net.sink_pins:
-            inst = netlist.instance(ref.instance)
-            pin = inst.master.pin(ref.pin)
-            if pin.timing is not None:
-                total += pin.timing.capacitance
-        total += PORT_LOAD_FF * len(net.sink_ports)
-        return total
-
-    def net_load(self, net: Net) -> float:
-        """Total load seen by the net's driver: wire C plus pin caps (fF)."""
-        _, c_wire = self.net_parasitics(net.name)
-        return c_wire + self.sink_pin_load(net)
-
-    def wire_delay(self, net: Net) -> float:
-        """Lumped Elmore delay of the net (ns): R·(C_wire/2 + C_sinks).
-
-        R is in Ω and C in fF, so R·C is in 1e-6 ns; the 1e-6 factor
-        converts to ns.
-        """
-        r_wire, c_wire = self.net_parasitics(net.name)
-        c_sinks = self.sink_pin_load(net)
-        return r_wire * (c_wire / 2.0 + c_sinks) * 1e-6
-
-    def arc_delay(self, instance_name: str, from_pin: str, to_pin: str) -> float:
-        """Delay of one cell arc given the load of its output net (ns)."""
-        inst = self.layout.netlist.instance(instance_name)
-        arcs = [
-            a
-            for a in inst.master.arcs
-            if a.from_pin == from_pin and a.to_pin == to_pin
-        ]
-        if not arcs:
-            return 0.0
-        out_net_name = inst.connections.get(to_pin)
-        load = 0.0
-        if out_net_name is not None:
-            load = self.net_load(self.layout.netlist.net(out_net_name))
-        return max(a.delay(load) for a in arcs) * self.cell_derate
-
-    def invalidate(self, net_name: Optional[str] = None) -> None:
-        """Drop cached parasitics (all, or for one net) after layout edits."""
-        if net_name is None:
-            self._parasitics_cache.clear()
-        else:
-            self._parasitics_cache.pop(net_name, None)

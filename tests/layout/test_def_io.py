@@ -62,3 +62,33 @@ class TestErrors:
         text = "DESIGN chain\nCORE ROWS 4 SITES 60\nBOGUS x\nEND DESIGN"
         with pytest.raises(SerializationError):
             layout_from_def(text, small_layout.netlist, tech)
+
+
+class TestRejectedRecords:
+    """Records that used to load and poison later stages.
+
+    A PIN at ``inf`` timed PRESENT to TNS = −inf; one at ``nan`` read as
+    an unplaced pin, so the router dropped it; an infinite blockage and a
+    PIN for a port the netlist lacks loaded silently.  Each now fails
+    with a ``SerializationError`` naming the line.
+    """
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ("PIN {port} AT inf 3", "non-finite number 'inf'"),
+            ("PIN {port} AT nan 3", "non-finite number 'nan'"),
+            ("BLOCKAGE bx RECT 1 1 inf 5 DENSITY 0.5", "non-finite number"),
+            ("PIN nosuchport AT 1 3", "unknown port 'nosuchport'"),
+        ],
+        ids=["pin-inf", "pin-nan", "blockage-inf", "unknown-port"],
+    )
+    def test_record_rejected(self, present_design, record, reason):
+        d = present_design
+        port = sorted(d.layout.port_positions)[0]
+        lines = layout_to_def(d.layout).splitlines()
+        lines.insert(len(lines) - 1, record.format(port=port))
+        with pytest.raises(SerializationError, match=reason) as raised:
+            layout_from_def("\n".join(lines), d.netlist, d.technology)
+        assert str(raised.value).startswith(f"line {len(lines) - 1}: ")
+        assert "\n" not in str(raised.value)

@@ -6,8 +6,11 @@ checks.  None of this code runs in the flow; ``tests/kernels/`` calls an
 oracle and its production twin side by side and asserts bitwise-equal
 results:
 
-* ``sta._run_sta`` — ``repro.timing.sta.run_sta``
-  (``kernels.sta.run_sta_vector``);
+* ``sta._run_sta`` / ``sta._run_hold_sta`` — ``repro.timing.sta.run_sta``
+  (``kernels.sta.run_sta_vector``) / ``run_hold_sta``, over the per-net
+  delay model ``sta.ScalarDelay``;
+* ``power.analyze_power`` — ``repro.power.power.analyze_power``, with
+  each net's load recomputed instead of read from the STA result;
 * ``exploitable._filtered_row_intervals`` —
   ``kernels.exploitable.filtered_row_intervals``;
 * ``cell_shift._below_weights`` — ``core.cell_shift._IncrementalBelow``;

@@ -1,9 +1,18 @@
-"""Tests for the delay calculator."""
+"""Tests for parasitics and the delay model the STA kernel computes."""
 
-import pytest
-
+from repro.kernels.sta import (
+    arc_delay,
+    arc_variants,
+    parasitic_arrays,
+    timing_structure,
+    wire_and_load,
+)
 from repro.route.router import global_route
+from repro.timing.constraints import TimingConstraints
 from repro.timing.delay import DelayCalculator, estimate_parasitics
+from repro.timing.sta import run_sta
+
+from tests.oracles.sta import ScalarDelay
 
 
 class TestEstimates:
@@ -24,41 +33,53 @@ class TestEstimates:
         assert r < 1.0
 
 
+def _kernel_model(layout):
+    """The kernel's per-net wire delay and load, keyed by net name."""
+    s = timing_structure(layout.netlist)
+    wire, load = wire_and_load(
+        *parasitic_arrays(s, DelayCalculator(layout)), s.csink
+    )
+    return dict(zip(s.names, wire.tolist())), dict(zip(s.names, load.tolist()))
+
+
 class TestDelayCalculator:
+    """The delay model on the kernel's outputs and on the oracle's model."""
+
     def test_net_load_includes_pins_and_wire(self, small_layout, library):
-        dc = DelayCalculator(small_layout)
         net = small_layout.netlist.net("n0")
-        load = dc.net_load(net)
+        sta = run_sta(small_layout, TimingConstraints(clock_period=10.0))
+        load = sta.load[[n.name for n in small_layout.netlist.nets].index("n0")]
+        _, c_wire = DelayCalculator(small_layout).net_parasitics("n0")
         pin_cap = library.cell("INV_X1").pin("A").timing.capacitance
-        assert load >= pin_cap
+        assert load == c_wire + pin_cap
+        assert load == _kernel_model(small_layout)[1]["n0"]
+        assert load == ScalarDelay(DelayCalculator(small_layout)).net_load(net)
 
     def test_wire_delay_positive_and_monotone(self, small_layout):
-        dc = DelayCalculator(small_layout)
         n0 = small_layout.netlist.net("n0")
-        assert dc.wire_delay(n0) >= 0
+        wire = _kernel_model(small_layout)[0]["n0"]
+        assert wire >= 0
+        assert wire == ScalarDelay(DelayCalculator(small_layout)).wire_delay(n0)
+        small_layout.move_in_row("inv1", 50)  # stretch n0
+        assert _kernel_model(small_layout)[0]["n0"] > wire
 
-    def test_arc_delay_uses_output_load(self, small_layout):
-        dc = DelayCalculator(small_layout)
-        d = dc.arc_delay("inv0", "A", "ZN")
+    def test_arc_delay_uses_output_load(self, small_layout, library):
+        variants = arc_variants(library.cell("INV_X1"), "A", "ZN")
+        load = _kernel_model(small_layout)[1]["n0"]
+        d = arc_delay(variants, load, 1.0)
         assert d > 0.012  # at least the intrinsic
+        assert d > arc_delay(variants, 0.0, 1.0)
+        model = ScalarDelay(DelayCalculator(small_layout))
+        assert d == model.arc_delay("inv0", "A", "ZN")
 
-    def test_missing_arc_zero(self, small_layout):
-        dc = DelayCalculator(small_layout)
-        assert dc.arc_delay("inv0", "ZN", "A") == 0.0
+    def test_missing_arc_zero(self, small_layout, library):
+        assert arc_variants(library.cell("INV_X1"), "ZN", "A") == []
+        assert arc_delay([], 5.0, 1.0) == 0.0
+        model = ScalarDelay(DelayCalculator(small_layout))
+        assert model.arc_delay("inv0", "ZN", "A") == 0.0
 
     def test_routed_beats_estimate_consistency(self, small_layout):
         routing = global_route(small_layout)
         dc = DelayCalculator(small_layout, routing)
         r, c = dc.net_parasitics("n0")
         assert r >= 0 and c >= 0
-
-    def test_cache_invalidation(self, small_layout):
-        dc = DelayCalculator(small_layout)
-        before = dc.net_parasitics("n0")
-        small_layout.move_in_row("inv1", 50)
-        # cache still returns the stale value...
-        assert dc.net_parasitics("n0") == before
-        dc.invalidate("n0")
-        after = dc.net_parasitics("n0")
-        assert after != before
-        small_layout.move_in_row("inv1", 13)  # restore for other tests

@@ -20,7 +20,7 @@ class TestHold:
         hold_by_name = {e.name: e.required for e in hold.endpoints}
         for e in setup.endpoints:
             if e.kind == "ff_d" and e.name in hold_by_name:
-                assert hold_by_name[e.name] <= e.arrival + 1e-9
+                assert hold_by_name[e.name] <= e.arrival
 
     def test_huge_hold_time_violates(self, misty_design):
         d = misty_design

@@ -11,6 +11,7 @@ from repro.timing.constraints import TimingConstraints
 from repro.timing.delay import DelayCalculator
 from repro.timing.sta import run_sta
 from tests.conftest import make_inverter_chain, make_registered_pipeline
+from tests.oracles.sta import ScalarDelay
 
 
 class TestCombinational:
@@ -43,7 +44,7 @@ class TestCombinational:
         """Arrival at 'out' equals the longest path in an explicit graph."""
         constraints = TimingConstraints(clock_period=10.0)
         sta = run_sta(small_layout, constraints)
-        dc = DelayCalculator(small_layout)
+        model = ScalarDelay(DelayCalculator(small_layout))
         g = nx.DiGraph()
         nl = small_layout.netlist
         for net in nl.nets:
@@ -55,7 +56,9 @@ class TestCombinational:
             for pin, net in inst.connections.items():
                 if pin == "ZN":
                     continue
-                w = dc.wire_delay(nl.net(net)) + dc.arc_delay(inst.name, pin, "ZN")
+                w = model.wire_delay(nl.net(net)) + model.arc_delay(
+                    inst.name, pin, "ZN"
+                )
                 g.add_edge(net, out_net, weight=w)
         longest = nx.dag_longest_path_length(g, weight="weight")
         assert sta.arrival["out"] == pytest.approx(longest, rel=1e-9)
