@@ -51,7 +51,8 @@ from repro.reporting.layout_view import layout_to_ascii
 from repro.reporting.profile_report import profile_table
 from repro.reporting.security_report import security_report
 from repro.timing.constraints import TimingConstraints
-from repro.timing.corners import Corner, run_multi_corner_sta
+from repro.timing.corners import run_multi_corner_sta
+from repro.timing.delay import Corner
 from repro.timing.sta import run_hold_sta, run_sta
 
 __version__ = "1.0.0"

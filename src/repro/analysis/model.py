@@ -515,13 +515,6 @@ class Project:
             )
         return Resolved("external", canonical)
 
-    def resolve_class(self, name: str) -> Optional[ClassInfo]:
-        """Canonical dotted name -> :class:`ClassInfo`, if internal."""
-        resolved = self.resolve(name)
-        if resolved.kind == "class":
-            return self.classes.get(resolved.target)
-        return None
-
     def unique_method(self, name: str) -> Optional[str]:
         """Resolve ``x.m()`` with unknown receiver: unique def wins."""
         candidates = self.method_index.get(name, [])

@@ -32,6 +32,13 @@ from repro.layout.layout import Layout
 from repro.layout.rows import RowOccupancy
 from repro.security.exploitable import DEFAULT_THRESH_ER, find_exploitable_regions
 
+#: Passes per direction policy (respace), or forward+reverse sweep
+#: repetitions (greedy), at most.
+MAX_ROUNDS = 3
+
+#: (greedy) Safety bound on shifts per row and pass.
+MAX_BATCHES_PER_ROW = 10_000
+
 
 @dataclass
 class CellShiftReport:
@@ -64,7 +71,6 @@ def _shift_pass(
     thresh_er: int,
     reverse: bool,
     report: CellShiftReport,
-    max_batches_per_row: int,
 ) -> None:
     """One directional pass of Algorithm 1.
 
@@ -77,7 +83,7 @@ def _shift_pass(
         batches = 0
         # Rebuild the gap graph only after a shift; scanning past
         # non-exploitable vertices reuses the cached graph.
-        while batches < max_batches_per_row:
+        while batches < MAX_BATCHES_PER_ROW:
             graph = _graph_upto(layout, row_idx)
             row_gaps = graph.row_gaps(row_idx)
             if reverse:
@@ -530,7 +536,6 @@ def _write_rows(layout: Layout, starts: List[List[int]]) -> None:
 def _respace(
     layout: Layout,
     thresh_er: int,
-    max_rounds: int,
     score: Optional[Callable[[], float]],
     sites_before: int,
     report: CellShiftReport,
@@ -567,7 +572,7 @@ def _respace(
         best = sites_before
         moves = shifted_sites = 0
         regions = None
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             moved, tracker, pass_moves, pass_sites = _respace_pass(
                 rows, starts, quota, gap_cap, mode
             )
@@ -595,9 +600,6 @@ def cell_shift(
     layout: Layout,
     thresh_er: int = DEFAULT_THRESH_ER,
     strategy: str = "respace",
-    bidirectional: bool = True,
-    max_rounds: int = 3,
-    max_batches_per_row: int = 10_000,
     assets: Optional[object] = None,
     distances: Optional[dict] = None,
 ) -> CellShiftReport:
@@ -611,13 +613,13 @@ def cell_shift(
       row below, so no gap-graph component can reach the threshold.  This
       reaches Algorithm 1's stated post-condition directly.  Three
       direction policies ("alternate", "forward", "backward") each run up
-      to ``max_rounds`` passes, keeping a pass only while it lowers the
+      to :data:`MAX_ROUNDS` passes, keeping a pass only while it lowers the
       exploitable sites.  The candidates are then scored in this order:
       the untouched layout first, then the three policies' results.  The
       first candidate with the lowest score is adopted, so a policy
       replaces the untouched layout only when it scores strictly lower.
     * ``"greedy"`` — the literal Algorithm 1 loop (forward pass plus the
-      mirrored reverse pass), repeated up to ``max_rounds`` times.  At
+      mirrored reverse pass), repeated up to :data:`MAX_ROUNDS` times.  At
       free-space ratios above a few percent the greedy strands the
       conserved free space in above-threshold blobs at the blocked core
       edges; it is kept as the faithful reference for comparison and as
@@ -627,10 +629,6 @@ def cell_shift(
         layout: A placed layout; cells in ``layout.fixed`` never move.
         thresh_er: The exploitable-region site threshold.
         strategy: ``"respace"`` or ``"greedy"``.
-        bidirectional: (greedy) run the mirrored second pass.
-        max_rounds: Passes per direction policy (respace), or
-            forward+reverse sweep repetitions (greedy), at most.
-        max_batches_per_row: (greedy) safety bound on shifts per row.
         assets: (respace) The security-critical cells.  With
             ``distances``, a candidate's score is the distance-aware
             exploitable sites of :func:`find_exploitable_regions`: the
@@ -665,17 +663,14 @@ def cell_shift(
 
         aware = assets is not None and distances is not None
         _respace(
-            layout, thresh_er, max_rounds, distance_aware if aware else None,
+            layout, thresh_er, distance_aware if aware else None,
             sites_before, report,
         )
         return report
     best = sites_before
-    for _ in range(max_rounds):
-        _shift_pass(layout, thresh_er, reverse=False, report=report,
-                    max_batches_per_row=max_batches_per_row)
-        if bidirectional:
-            _shift_pass(layout, thresh_er, reverse=True, report=report,
-                        max_batches_per_row=max_batches_per_row)
+    for _ in range(MAX_ROUNDS):
+        _shift_pass(layout, thresh_er, reverse=False, report=report)
+        _shift_pass(layout, thresh_er, reverse=True, report=report)
         now = _exploitable_sites(layout, thresh_er)
         if now >= best:
             break

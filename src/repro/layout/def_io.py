@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Union
 
-from repro.errors import SerializationError
+from repro.errors import LayoutError, NetlistError, SerializationError
 from repro.geometry import Point, Rect
 from repro.layout.blockage import PlacementBlockage
 from repro.layout.layout import Layout
@@ -49,8 +49,10 @@ def layout_from_def(
 
     Raises:
         SerializationError: On a malformed or unknown record, a
-            non-finite number, or a ``PIN`` for a port the netlist lacks;
-            the message names the line.
+            non-finite number, a ``PIN`` for a port the netlist lacks or
+            outside the core (its edges are inside), or a ``COMPONENT``
+            the layout cannot place (unknown instance, row out of range,
+            overlap, placed twice); the message names the line.
     """
     numbered = [
         (number, ln.strip())
@@ -75,6 +77,7 @@ def layout_from_def(
         raise SerializationError(f"malformed CORE line: {lines[1]!r}") from exc
 
     layout = Layout(netlist, technology, num_rows=num_rows, sites_per_row=sites_per_row)
+    core = layout.core
     ports = {port.name for port in netlist.ports}
     for number, line in numbered[2:]:
         if line == "END DESIGN":
@@ -105,9 +108,14 @@ def layout_from_def(
                     raise SerializationError(
                         f"line {number}: PIN for unknown port {tokens[1]!r}"
                     )
-                layout.port_positions[tokens[1]] = Point(
-                    _finite(tokens[3]), _finite(tokens[4])
-                )
+                x, y = _finite(tokens[3]), _finite(tokens[4])
+                if not (core.xlo <= x <= core.xhi and core.ylo <= y <= core.yhi):
+                    raise SerializationError(
+                        f"line {number}: PIN {tokens[1]!r} at ({x}, {y}) is "
+                        f"outside the core [{core.xlo}, {core.xhi}] x "
+                        f"[{core.ylo}, {core.yhi}]"
+                    )
+                layout.port_positions[tokens[1]] = Point(x, y)
             else:
                 raise SerializationError(
                     f"line {number}: unknown record {kind!r}"
@@ -116,6 +124,8 @@ def layout_from_def(
             raise SerializationError(
                 f"line {number}: malformed record {line!r}: {exc}"
             ) from exc
+        except (NetlistError, LayoutError) as exc:
+            raise SerializationError(f"line {number}: {exc}") from exc
     layout.validate()
     return layout
 

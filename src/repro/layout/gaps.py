@@ -152,14 +152,6 @@ class GapGraph:
         root = self._uf.find(self._index[gap])
         return self._component_weight[root]
 
-    def component_of(self, gap: Gap) -> GapComponent:
-        """Materialize the component containing ``gap``."""
-        root = self._uf.find(self._index[gap])
-        members = [
-            g for i, g in enumerate(self._gaps) if self._uf.find(i) == root
-        ]
-        return GapComponent(gaps=members)
-
     def components(self) -> List[GapComponent]:
         """All connected components."""
         by_root: Dict[int, GapComponent] = {}

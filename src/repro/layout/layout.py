@@ -130,11 +130,6 @@ class Layout:
         """Total placement capacity in sites."""
         return sum(r.num_sites for r in self.rows)
 
-    def site_origin(self, row: int, site: int) -> Point:
-        """µm coordinates of the lower-left corner of ``(row, site)``."""
-        t = self.technology
-        return Point(site * t.site_width, row * t.row_height)
-
     def site_rect(self, row: int, site: int) -> Rect:
         """µm rectangle of one placement site."""
         t = self.technology

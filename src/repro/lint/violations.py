@@ -126,10 +126,6 @@ class LintReport:
         """Sorted distinct ids of the rules that fired."""
         return sorted({v.rule_id for v in self.violations})
 
-    def by_rule(self, rule_id: str) -> List[Violation]:
-        """Findings of one rule."""
-        return [v for v in self.violations if v.rule_id == rule_id]
-
     def exit_code(self, fail_on: Union[str, Severity] = Severity.ERROR) -> int:
         """CLI exit code: 1 when findings at/above ``fail_on`` exist."""
         return 1 if self.count_at_least(Severity.parse(fail_on)) else 0

@@ -118,10 +118,6 @@ class Instance:
         """Master width in placement sites."""
         return self.master.width_sites
 
-    def net_of(self, pin_name: str) -> Optional[str]:
-        """Net connected to ``pin_name``, or ``None``."""
-        return self.connections.get(pin_name)
-
     def __repr__(self) -> str:
         return f"Instance({self.name!r}, {self.master.name})"
 

@@ -8,14 +8,15 @@ every net's parasitics.  :class:`ImplantImpact` returns the same two
 numbers, bitwise, from state it builds once per target:
 
 * **Timing.**  The base state is the cached timing structure of the
-  target's netlist plus the per-net parasitics of the target's own
-  ``run_sta`` call.  Of the design's timing nodes an implant changes only
-  the tap net: more sink pins and a wider HPWL box.  The patch goes into
-  copies of the wire and load arrays, the levelized forward pass of
-  :mod:`repro.kernels.sta` reruns on them, and the Trojan chain is timed
-  on top.  Endpoint slacks are summed in ``run_sta``'s order: flip-flop
-  D pins in sequential-instance order (the Trojan's flip-flops last),
-  then port endpoints in net order (the leak port last).
+  target's netlist plus its per-net parasitics, as the target's own
+  ``run_sta`` call reads them.  Of the design's timing nodes an implant
+  changes only the tap net: more sink pins and a wider HPWL box.  The
+  patch goes into copies of the wire and load arrays, the levelized
+  forward pass of :mod:`repro.kernels.sta` reruns on them, and the
+  Trojan chain is timed on top.  Endpoint slacks are summed in
+  ``run_sta``'s order: flip-flop D pins in sequential-instance order (the
+  Trojan's flip-flops last), then port endpoints in net order (the leak
+  port last).
 * **DRC.**  The placement row scan reruns on the rows the gates land in
   (their fillers deleted), then the hard-blockage hits in those rows.
 
@@ -39,6 +40,7 @@ from repro.kernels.sta import (
     arc_delay,
     arc_variants,
     forward_arrivals,
+    hpwl_estimate,
     parasitic_arrays,
     timing_structure,
     wire_and_load,
@@ -48,7 +50,7 @@ from repro.layout.rows import RowOccupancy
 from repro.security.trojan import ImplantWiring
 from repro.tech.library import PinDirection
 from repro.timing.constraints import TimingConstraints
-from repro.timing.delay import PORT_LOAD_FF, DelayCalculator, hpwl_parasitics
+from repro.timing.delay import PORT_LOAD_FF, TYPICAL
 
 __all__ = ["ImplantImpact"]
 
@@ -56,11 +58,12 @@ __all__ = ["ImplantImpact"]
 class ImplantImpact:
     """TNS and #DRC of a target's implants, from its base timing state.
 
+    Impact is timed like the oracle's ``run_sta``: at the typical corner,
+    on HPWL estimates.
+
     Args:
         layout: The target layout (read, never mutated).
         constraints: Timing constraints the impact is measured under.
-        dc: The calculator of the target's base ``run_sta`` call, whose
-            cached parasitics are reused.
         base_drc: ``check_drc(layout).count``.
     """
 
@@ -68,7 +71,6 @@ class ImplantImpact:
         self,
         layout: Layout,
         constraints: TimingConstraints,
-        dc: DelayCalculator,
         base_drc: int,
     ) -> None:
         netlist = layout.netlist
@@ -85,7 +87,7 @@ class ImplantImpact:
         ports = np.array(
             [len(net.sink_ports) for net in netlist.nets], dtype=np.int64
         )
-        r, c = parasitic_arrays(s, dc)
+        r, c = parasitic_arrays(s, layout)
 
         self.layout = layout
         self._structure = s
@@ -95,7 +97,6 @@ class ImplantImpact:
         self._wire, self._load = wire_and_load(
             r, c, np.array(pin_load) + PORT_LOAD_FF * ports
         )
-        self._derate = dc.cell_derate
         self._input_delay = constraints.input_delay
         self._ff_req = constraints.clock_period - constraints.ff_setup
         self._port_req = constraints.clock_period - constraints.output_delay
@@ -135,8 +136,7 @@ class ImplantImpact:
     def _tns(self, wiring: ImplantWiring) -> float:
         layout = self.layout
         lib = layout.netlist.library
-        tech = layout.technology
-        derate = self._derate
+        derate = TYPICAL.cell_derate
 
         # Pin points and sink-pin loads the implant adds, per net, in
         # connection order.
@@ -176,10 +176,13 @@ class ImplantImpact:
                     caps.get(net_name, []), int(net_name == wiring.nets[-1])
                 )
             )
-        rc = np.array([hpwl_parasitics(tech, p) for p in net_points])
-        net_wire, net_load = wire_and_load(
-            rc[:, 0], rc[:, 1], np.array(net_csink)
+        net_r, net_c = hpwl_estimate(
+            layout.technology,
+            np.array([p.x for pts in net_points for p in pts]),
+            np.array([p.y for pts in net_points for p in pts]),
+            np.array([len(pts) for pts in net_points]),
         )
+        net_wire, net_load = wire_and_load(net_r, net_c, np.array(net_csink))
 
         wire = self._wire.copy()
         load = self._load.copy()

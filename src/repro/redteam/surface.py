@@ -42,7 +42,6 @@ from repro.security.trojan import (
     rank_regions,
 )
 from repro.timing.constraints import TimingConstraints
-from repro.timing.delay import DelayCalculator
 from repro.timing.sta import STAResult, run_sta
 
 # perfbench's traced run binds this name (``BOUNDARIES`` in
@@ -137,14 +136,10 @@ class LayoutAttackSurface:
         self._impact: Optional[ImplantImpact] = None
         if constraints is not None and self.measure_impact:
             # Eager: computed pre-fork so every worker shares the state.
-            # The impact reuses this call's parasitics (no routing: the
-            # implanted design is timed on HPWL estimates).
-            dc = DelayCalculator(layout)
-            self._base_tns = run_sta(layout, constraints, delay_calc=dc).tns
+            # No routing: the implanted design is timed on HPWL estimates.
+            self._base_tns = run_sta(layout, constraints).tns
             self._base_drc = check_drc(layout).count
-            self._impact = ImplantImpact(
-                layout, constraints, dc, self._base_drc
-            )
+            self._impact = ImplantImpact(layout, constraints, self._base_drc)
 
     def _ranking(self, thresh_er: int) -> RegionRanking:
         """This target's region ranking at ``thresh_er`` (memoized)."""

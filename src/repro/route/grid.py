@@ -15,12 +15,11 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.errors import RoutingError
 from repro.geometry import Rect
 from repro.tech.technology import Technology
 
-#: Default gcell extent in sites / rows — chosen so gcells are near-square
-#: in µm for the Nangate-like technology (15 × 0.19 ≈ 2 × 1.4).
+#: Gcell extent in sites / rows — chosen so gcells are near-square in µm
+#: for the Nangate-like technology (15 × 0.19 ≈ 2 × 1.4).
 GCELL_SITES = 24
 GCELL_ROWS = 3
 
@@ -38,20 +37,11 @@ class RoutingGrid:
         usage: ``(K, nx, ny)`` float array of consumed tracks.
     """
 
-    def __init__(
-        self,
-        technology: Technology,
-        core: Rect,
-        gcell_sites: int = GCELL_SITES,
-        gcell_rows: int = GCELL_ROWS,
-        capacity_derate: float = CAPACITY_DERATE,
-    ) -> None:
-        if gcell_sites < 1 or gcell_rows < 1:
-            raise RoutingError("gcell extents must be >= 1")
+    def __init__(self, technology: Technology, core: Rect) -> None:
         self.technology = technology
         self.core = core
-        self.gcell_w = gcell_sites * technology.site_width
-        self.gcell_h = gcell_rows * technology.row_height
+        self.gcell_w = GCELL_SITES * technology.site_width
+        self.gcell_h = GCELL_ROWS * technology.row_height
         self.nx = max(int(np.ceil(core.width / self.gcell_w)), 1)
         self.ny = max(int(np.ceil(core.height / self.gcell_h)), 1)
         k = technology.num_layers
@@ -62,7 +52,7 @@ class RoutingGrid:
                 tracks = self.gcell_h / layer.track_pitch
             else:
                 tracks = self.gcell_w / layer.track_pitch
-            self.capacity[layer.index - 1, :, :] = tracks * capacity_derate
+            self.capacity[layer.index - 1, :, :] = tracks * CAPACITY_DERATE
 
     # ------------------------------------------------------------------ #
     # coordinate mapping

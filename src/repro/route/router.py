@@ -31,9 +31,9 @@ Each input is derived once, at the level where it can change:
   and record each pair's pick (shape and tier column), so rip-up
   victims come from one vector pass over the picked cells, and each
   net's R and C are summed from its picks;
-* per result, the congestion factors: the first
-  :meth:`RoutingResult.congestion_factor` query computes every net's
-  factor in one vector pass over the grid's usage at that moment.
+* per route, the congestion factors: every net's factor in one vector
+  pass over the picked cells and the grid's final usage, read by STA
+  through :meth:`RoutingResult.wire_rc`.
 
 Nets are looked up by plan position.  A :class:`NetRoute` per net, with
 its :class:`RouteSegment` spans ``(horizontal, lo, hi, fixed)`` on one
@@ -165,12 +165,15 @@ class RoutePlan:
         offsets: ``len(nets) + 1`` row offsets; net ``i`` owns
             ``pairs[offsets[i]:offsets[i + 1]]``.
         position: Net name → its index in :attr:`nets`.
+        net_ids: Each net's index in the netlist's net order (``-1`` for
+            a name the netlist lacks), so STA gathers by plan position.
         stamp: The netlist's ``mod_count`` and every row occupancy's
             ``version`` when the plan was made.
     """
 
     __slots__ = (
-        "layout", "nets", "base_tiers", "pairs", "offsets", "position", "stamp"
+        "layout", "nets", "base_tiers", "pairs", "offsets", "position",
+        "net_ids", "stamp",
     )
 
     def __init__(
@@ -187,6 +190,10 @@ class RoutePlan:
         self.pairs = pairs
         self.offsets = offsets
         self.position: Dict[str, int] = {name: i for i, name in enumerate(nets)}
+        index = pin_table(layout.netlist).net_index
+        self.net_ids = np.array(
+            [index.get(name, -1) for name in nets], dtype=np.intp
+        )
         self.stamp = _layout_stamp(layout)
 
     def is_stale(self) -> bool:
@@ -274,21 +281,18 @@ class RoutingResult:
         plan: Optional[RoutePlan] = None,
         picks: Optional[Tuple[array, array]] = None,
         parasitics: Optional[Tuple[List[float], List[float]]] = None,
-        routed_cells: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        factors: Optional[np.ndarray] = None,
     ) -> None:
         self.grid = grid
         self.ndr = ndr
         self.plan = plan
         # Each pair's (shape, tier column) pick, and each net's lumped
-        # (R, C), by plan position.
+        # (R, C) and congestion factor, by plan position.
         self._picks = picks
         self._resistance, self._capacitance = (
             ([], []) if parasitics is None else parasitics
         )
-        # (flat grid bin, plan position) of every routed cell, grouped by
-        # net; consumed by the first congestion query.
-        self._routed_cells = routed_cells
-        self._factors: Optional[List[float]] = None
+        self._factors = np.zeros(0) if factors is None else factors
         self._routes: Optional[Dict[str, NetRoute]] = None
 
     @property
@@ -303,21 +307,22 @@ class RoutingResult:
         """Sum of routed lengths over all nets (µm)."""
         return sum(r.wirelength for r in self.routes.values())
 
-    def _position(self, net: str) -> Optional[int]:
-        return None if self.plan is None else self.plan.position.get(net)
-
-    def net_parasitics(self, net: str) -> Tuple[float, float]:
-        """(resistance Ω, capacitance fF) of a routed net; (0, 0) if unrouted.
+    def wire_rc(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every net's netlist index and (R Ω, C fF), by plan position.
 
         Both are scaled by the net's congestion factor: a net squeezed
         through overfull gcells detours and couples in the real detailed
-        route, which shows up as extra RC.
+        route, which shows up as extra RC.  A net that routed no segment
+        reads (0, 0).
         """
-        i = self._position(net)
-        if i is None:
-            return (0.0, 0.0)
-        k = self._congestion_factors()[i]
-        return (self._resistance[i] * k, self._capacitance[i] * k)
+        if self.plan is None:
+            return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
+        k = self._factors
+        return (
+            self.plan.net_ids,
+            np.array(self._resistance) * k,
+            np.array(self._capacitance) * k,
+        )
 
     def congestion_factor(self, net: str) -> float:
         """Detour/coupling multiplier from the congestion along the route.
@@ -325,42 +330,12 @@ class RoutingResult:
         1.0 while the worst gcell on the route is under 80 % utilization,
         then grows with the overflow ratio (a net through a 2×-overfull
         gcell pays ~36 % extra RC); 1.0 for a net without routed cells or
-        not routed at all.  The first query computes every net's factor
-        in one pass over the grid usage at that moment; later queries
-        read those factors, even if the usage has changed since.
+        not routed at all.  Every net's factor is computed from the grid
+        usage when the route finished; a later change to the usage does
+        not move it.
         """
-        i = self._position(net)
-        return 1.0 if i is None else self._congestion_factors()[i]
-
-    def _congestion_factors(self) -> List[float]:
-        """Every routed net's factor from its worst cell's use/cap ratio.
-
-        A net's worst ratio is the max over its cells with capacity, 0.0
-        when it has none.
-        """
-        if self._factors is not None:
-            return self._factors
-        if self._routed_cells is None:
-            self._factors = []
-            return self._factors
-        with obs.timed("route.congestion"):
-            bins, nets = self._routed_cells
-            self._routed_cells = None
-            n_nets = len(self._resistance)
-            cap = self.grid.capacity.ravel().take(bins)
-            ratio = np.zeros(len(bins))
-            np.divide(self.grid.usage.ravel().take(bins), cap, out=ratio,
-                      where=cap > 0)
-            counts = np.bincount(nets, minlength=n_nets)
-            has_cells = counts > 0
-            worst = np.zeros(n_nets)
-            if len(bins):
-                starts = np.cumsum(counts) - counts
-                worst[has_cells] = np.maximum.reduceat(
-                    ratio, starts[has_cells]
-                )
-            self._factors = (1.0 + 0.3 * np.maximum(worst - 0.8, 0.0)).tolist()
-        return self._factors
+        i = None if self.plan is None else self.plan.position.get(net)
+        return 1.0 if i is None else float(self._factors[i])
 
     def _net_routes(self) -> Dict[str, NetRoute]:
         """Every net's segments read back from its picks, and its R/C."""
@@ -757,6 +732,30 @@ class _Route:
         bins, nets = self.routed_cells()
         return np.unique(nets[mask.ravel()[bins]]).tolist()
 
+    def congestion_factors(self) -> np.ndarray:
+        """Every net's factor from its worst cell's use/cap ratio.
+
+        A net's worst ratio is the max over its picked cells with
+        capacity, 0.0 when it has none.
+        """
+        with obs.timed("route.congestion"):
+            bins, nets = self.routed_cells()
+            grid = self.grid
+            n_nets = len(self.plan.nets)
+            cap = grid.capacity.ravel().take(bins)
+            ratio = np.zeros(len(bins))
+            np.divide(grid.usage.ravel().take(bins), cap, out=ratio,
+                      where=cap > 0)
+            counts = np.bincount(nets, minlength=n_nets)
+            has_cells = counts > 0
+            worst = np.zeros(n_nets)
+            if len(bins):
+                starts = np.cumsum(counts) - counts
+                worst[has_cells] = np.maximum.reduceat(
+                    ratio, starts[has_cells]
+                )
+            return 1.0 + 0.3 * np.maximum(worst - 0.8, 0.0)
+
     def parasitics(self) -> Tuple[List[float], List[float]]:
         """Every net's lumped (R Ω, C fF), summed from its picked pieces.
 
@@ -807,14 +806,14 @@ class _Route:
         return resistance, capacitance
 
     def result(self) -> RoutingResult:
-        """The route's outcome: its grid, picks, parasitics and cells."""
+        """The route's outcome: its grid, picks, parasitics and factors."""
         return RoutingResult(
             self.grid,
             self.ndr,
             self.plan,
             (self.pick_shape, self.pick_column),
             self.parasitics(),
-            self.routed_cells(),
+            self.congestion_factors(),
         )
 
 
@@ -877,7 +876,11 @@ def global_route(
     return result
 
 
-def _repair_drc_hotspots(route: _Route, max_passes: int = 3) -> None:
+#: Most DRC-repair passes per route.
+_REPAIR_PASSES = 3
+
+
+def _repair_drc_hotspots(route: _Route) -> None:
     """Targeted repair of severely overflowed bins (detailed-router loop).
 
     The DRC checker only flags bins whose usage exceeds
@@ -910,7 +913,7 @@ def _repair_drc_hotspots(route: _Route, max_passes: int = 3) -> None:
     # summed again only after a reroute or a revert changed the usage.
     offsets = route.offsets
     current = excess()
-    for _ in range(max_passes):
+    for _ in range(_REPAIR_PASSES):
         if current <= 0:
             return
         victims = route.victims(grid.usage > threshold)

@@ -1,13 +1,12 @@
-"""Static timing analysis: constraints, delay model, STA engine."""
+"""Static timing analysis: constraints, corners, STA engine."""
 
 from repro.timing.constraints import TimingConstraints
-from repro.timing.delay import DelayCalculator, estimate_parasitics
+from repro.timing.delay import Corner
 from repro.timing.sta import EndpointSlack, STAResult, run_sta
 
 __all__ = [
     "TimingConstraints",
-    "DelayCalculator",
-    "estimate_parasitics",
+    "Corner",
     "EndpointSlack",
     "STAResult",
     "run_sta",

@@ -5,9 +5,11 @@ readings kept in ``tests/oracles/``.  These tests call the production
 function and its oracle side by side on generated designs and randomized
 inputs and compare every observable output exactly — no tolerances:
 
-* STA: setup arrival/required times, endpoint slacks, TNS/WNS and
-  per-net loads, and hold arrivals and endpoints, without derates and
-  at the slow and fast corners; the power report from the setup loads;
+* STA: every net's wire R/C (routed, estimated, left at (0, 0) by the
+  router, with ports lacking a position and with unplaced pins), setup
+  arrival/required times, endpoint slacks, TNS/WNS and per-net loads,
+  and hold arrivals and endpoints, at the typical, slow and fast
+  corners; the power report from the setup loads;
 * exploitable-site scanning: the distance-filtered intervals per row and
   the resulting region sets;
 * cell shift: the incremental below-row component weights and
@@ -45,6 +47,7 @@ from repro.kernels.legalize import (
     find_spot,
     receiving_target,
 )
+from repro.kernels.sta import parasitic_arrays, timing_structure
 from repro.layout.blockage import PlacementBlockage
 from repro.layout.layout import Layout
 from repro.netlist.netlist import Netlist, PortDirection
@@ -74,7 +77,6 @@ from repro.tech.library import nangate45_library
 from repro.tech.technology import nangate45_like
 from repro.timing.constraints import TimingConstraints
 from repro.timing.corners import DEFAULT_CORNERS
-from repro.timing.delay import DelayCalculator
 from repro.timing.sta import run_hold_sta, run_sta
 
 from tests.core.test_cell_shift_property import build_random_layout
@@ -279,35 +281,48 @@ def _rng(data) -> np.random.Generator:
 # ---------------------------------------------------------------------- #
 
 
-#: The default corners by name; ``None`` times without derates.
+#: The default corners by name.
 CORNERS = {c.name: c for c in DEFAULT_CORNERS}
 
 
-def _timing_equal(layout, constraints, routing=None, corner=None):
-    """Setup, hold and power of the kernels == their oracles, bitwise.
+def _outcome(fn, *args):
+    """``fn(*args)`` as lists, or the ``LayoutError`` text it raises."""
+    try:
+        r, c = fn(*args)
+    except LayoutError as exc:
+        return ("LayoutError", str(exc))
+    return (list(r), list(c))
+
+
+def _parasitics_equal(layout, routing=None, corner="typical"):
+    """Every net's R/C == the per-net oracle's, bitwise, or the same error."""
+    derate = CORNERS[corner].wire_derate
+    s = timing_structure(layout.netlist)
+    kernel = _outcome(parasitic_arrays, s, layout, routing, derate)
+    oracle = _outcome(oracle_sta.parasitic_lists, layout, routing, derate)
+    assert kernel == oracle
+    return kernel
+
+
+def _timing_equal(layout, constraints, routing=None, corner="typical"):
+    """Parasitics, setup, hold and power == their oracles, bitwise.
 
     Hold is compared with ``==`` (endpoint order included) and its loads
     apart, since ``STAResult`` leaves ``load`` out of ``==``.  Power reads
-    the setup result without derates, as the flow does.
+    the setup result at the typical corner, as the flow does.
     """
-    def calc():
-        if corner is None:
-            return None
-        c = CORNERS[corner]
-        return DelayCalculator(layout, routing, c.cell_derate, c.wire_derate)
-
-    setup = run_sta(layout, constraints, routing=routing, delay_calc=calc())
-    oracle = oracle_sta._run_sta(
-        layout, constraints, routing=routing, delay_calc=calc()
-    )
+    _parasitics_equal(layout, routing, corner)
+    c = CORNERS[corner]
+    setup = run_sta(layout, constraints, routing=routing, corner=c)
+    oracle = oracle_sta._run_sta(layout, constraints, routing=routing, corner=c)
     assert _sta_key(setup) == _sta_key(oracle)
-    hold = run_hold_sta(layout, constraints, routing=routing, delay_calc=calc())
+    hold = run_hold_sta(layout, constraints, routing=routing, corner=c)
     oracle = oracle_sta._run_hold_sta(
-        layout, constraints, routing=routing, delay_calc=calc()
+        layout, constraints, routing=routing, corner=c
     )
     assert hold == oracle
     assert hold.load.tolist() == oracle.load.tolist()
-    if corner is None:
+    if corner == "typical":
         power = analyze_power(layout, constraints, setup)
         assert power == oracle_pw.analyze_power(layout, constraints, routing)
 
@@ -331,8 +346,65 @@ def test_sta_benchmark_bitwise_equal(name):
     """Benchmark designs, estimated and routed, at every corner."""
     d = build_design(name)
     for routing in (None, d.routing):
-        for corner in (None, "slow", "fast"):
+        for corner in CORNERS:
             _timing_equal(d.layout, d.constraints, routing, corner)
+
+
+def test_parasitics_congested_route_equal(one_design):
+    """A triple-width route: congestion factors above 1.0 scale R and C."""
+    layout = one_design["layout"]
+    tech = layout.technology
+    routing = global_route(
+        layout, ndr=NonDefaultRule(scales=(3.0,) * tech.num_layers)
+    )
+    assert max(routing.congestion_factor(n) for n in routing.plan.nets) > 1.0
+    for corner in CORNERS:
+        _parasitics_equal(layout, routing, corner)
+
+
+def test_parasitics_coincident_net_equal(design):
+    """A net the router leaves at (0, 0) takes its HPWL estimate.
+
+    The plan collapses one real net's pin pairs onto its first pin, so
+    the route commits no segment for it, while its pins stay apart.
+    """
+    layout = design["layout"]
+    plan = RoutePlan.build(layout)
+    i = len(plan.nets) - 1  # the longest net
+    lo, hi = plan.offsets[i], plan.offsets[i + 1]
+    pairs = plan.pairs.copy()
+    pairs[lo:hi] = np.tile(pairs[lo, :2], 2)
+    plan = RoutePlan(layout, plan.nets, plan.base_tiers, pairs, plan.offsets)
+    routing = global_route(layout, plan=plan)
+    name = plan.nets[i]
+    assert routing.routes[name].segments == []
+    k = list(timing_structure(layout.netlist).names).index(name)
+    r, c = _parasitics_equal(layout, routing)
+    assert r[k] > 0.0 and c[k] > 0.0
+    _timing_equal(layout, design["constraints"], routing)
+
+
+def test_parasitics_port_without_position_equal(design, routed):
+    """Ports without a position are left out of their nets' estimates."""
+    layout = _without_some_ports(design["layout"])
+    for routing in (None, routed):
+        _timing_equal(layout, design["constraints"], routing)
+
+
+def test_parasitics_unplaced_pin_raises_equal(design, routed):
+    """An unplaced pin instance raises the oracle's ``LayoutError``.
+
+    Estimated, the first net in netlist order with an unplaced pin names
+    its first such pin; routed, only the nets the router did not route
+    are read, so the same cells may raise nothing.
+    """
+    layout = design["layout"].clone()
+    names = [n for n in layout.placements if n not in layout.fixed]
+    for name in (names[len(names) // 2], names[len(names) // 3]):
+        layout.unplace(name)
+    kind, _ = _parasitics_equal(layout)
+    assert kind == "LayoutError"
+    _parasitics_equal(layout, routed)
 
 
 def test_sta_with_fillers_bitwise_equal(filler_layout):
@@ -1215,19 +1287,27 @@ def test_shape_scores_zero_capacity_equal(one_design, data):
 def test_congestion_factor_equal(one_design, one_plan, data):
     """Per-net congestion factors over randomly raised usage.
 
-    The usage is raised (and capacities zeroed) after the route and
-    before the first query, which must read the grid as it is then.
-    The plan's coincident-pin net has no cells and the twice-routed net
-    crosses bins twice.
+    The usage is raised (and capacities zeroed) after the route's passes
+    and before its result is built, which must read the grid as it is
+    then.  The plan's coincident-pin net has no cells and the
+    twice-routed net crosses bins twice.
     """
-    result = global_route(one_design["layout"], plan=one_plan)
-    grid = result.grid
+    layout = one_design["layout"]
+    ndr = NonDefaultRule.default(layout.technology.num_layers)
+    route = router._Route(
+        RoutingGrid(layout.technology, layout.core), ndr, one_plan
+    )
+    route.initial()
+    route.ripup(1)
+    router._repair_drc_hotspots(route)
+    grid = route.grid
     rng = _rng(data)
     raise_p = data.draw(st.floats(0.0, 1.0), label="raise_p")
     bump = rng.uniform(0.0, 1.5, grid.usage.shape) * grid.capacity
     grid.usage += np.where(rng.random(grid.usage.shape) < raise_p, bump, 0.0)
     if data.draw(st.booleans(), label="zero_caps"):
         grid.capacity[rng.random(grid.capacity.shape) < 0.2] = 0.0
+    result = route.result()
     assert result.routes[COINCIDENT_NET].segments == []
     for name, route in result.routes.items():
         worst = oracle_rg.route_worst_ratio(
@@ -1470,28 +1550,27 @@ def test_route_plan_unplaced_pin_raises(design):
 def test_net_parasitics_equal_net_routes(one_design):
     """R/C and factors by plan position equal the built ``NetRoute``'s.
 
-    The route overflows (triple width), so factors exceed 1.0.  Every
-    net of the netlist is asked, and a name outside it: with every other
-    port position dropped some nets have fewer than two pin points, so
-    they are not routed and read (0, 0) and factor 1.0.  The
-    coincident-pin net routes nothing and reads (0, 0).  Each
-    ``NetRoute``'s R and C are its segments' products summed one by one
-    from 0.0.
+    The route overflows (triple width), so factors exceed 1.0.  With
+    every other port position dropped some nets have fewer than two pin
+    points, so they are not routed: they have no plan position and read
+    factor 1.0, as does a name outside the netlist.  The coincident-pin
+    net routes nothing and reads (0, 0).  Each ``NetRoute``'s R and C are
+    its segments' products summed one by one from 0.0.  A plan net the
+    netlist lacks has netlist index -1.
     """
     layout = _without_some_ports(one_design["layout"])
     plan = _with_degenerate_nets(RoutePlan.build(layout))
     tech = layout.technology
     ndr = NonDefaultRule(scales=(3.0,) * tech.num_layers)
     result = global_route(layout, ndr=ndr, plan=plan)
-    names = [net.name for net in layout.netlist.nets] + plan.nets[:2] + ["~ghost"]
-    assert max(result.congestion_factor(name) for name in names) > 1.0
+    ids, routed_r, routed_c = result.wire_rc()
+    net_index = {net.name: k for k, net in enumerate(layout.netlist.nets)}
+    assert ids.tolist() == [net_index.get(name, -1) for name in plan.nets]
     routes = result.routes
-    for name in names:
+    assert list(routes) == plan.nets
+    assert max(result.congestion_factor(name) for name in plan.nets) > 1.0
+    for i, (name, route) in enumerate(routes.items()):
         factor = result.congestion_factor(name)
-        route = routes.get(name)
-        if route is None:
-            assert (result.net_parasitics(name), factor) == ((0.0, 0.0), 1.0)
-            continue
         r = c = 0.0
         for seg in route.segments:
             layer = tech.layer(seg.layer)
@@ -1504,8 +1583,10 @@ def test_net_parasitics_equal_net_routes(one_design):
                 * ndr.capacitance_factor(seg.layer)
             )
         assert (route.resistance, route.capacitance) == (r, c)
-        assert result.net_parasitics(name) == (r * factor, c * factor)
+        assert (routed_r[i], routed_c[i]) == (r * factor, c * factor)
     assert routes[COINCIDENT_NET].segments == []
-    assert result.net_parasitics(COINCIDENT_NET) == (0.0, 0.0)
+    assert (routed_r[0], routed_c[0]) == (0.0, 0.0)
     assert result.congestion_factor(COINCIDENT_NET) == 1.0
-    assert any(net.name not in routes for net in layout.netlist.nets)
+    unrouted = [n for n in net_index if n not in routes] + ["~ghost"]
+    assert len(unrouted) > 1
+    assert {result.congestion_factor(name) for name in unrouted} == {1.0}

@@ -9,6 +9,9 @@ results:
 * ``sta._run_sta`` / ``sta._run_hold_sta`` — ``repro.timing.sta.run_sta``
   (``kernels.sta.run_sta_vector``) / ``run_hold_sta``, over the per-net
   delay model ``sta.ScalarDelay``;
+* ``sta.parasitic_lists`` — ``kernels.sta.parasitic_arrays``, net by
+  net (``sta.net_parasitics``: routed R/C × congestion factor, else
+  ``sta.estimate_parasitics``, then the wire derate);
 * ``power.analyze_power`` — ``repro.power.power.analyze_power``, with
   each net's load recomputed instead of read from the STA result;
 * ``exploitable._filtered_row_intervals`` —

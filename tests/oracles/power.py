@@ -1,8 +1,8 @@
 """Scalar oracle for power analysis (``repro.power.power.analyze_power``).
 
-Power as it was computed before it read STA's loads: its own
-:class:`~repro.timing.delay.DelayCalculator` and each net's load
-recomputed from the net's parasitics and a library lookup per sink pin.
+Power as it was computed before it read STA's loads: each net's load
+recomputed from the net's parasitics (:func:`tests.oracles.sta.net_parasitics`)
+and a library lookup per sink pin.
 The production function sums the same terms from ``STAResult.load`` and
 must reproduce this report bitwise.
 """
@@ -14,7 +14,6 @@ from typing import Optional
 from repro.layout.layout import Layout
 from repro.power.power import DATA_ACTIVITY, VDD, PowerReport
 from repro.timing.constraints import TimingConstraints
-from repro.timing.delay import DelayCalculator
 
 from tests.oracles.sta import ScalarDelay
 
@@ -28,7 +27,7 @@ def analyze_power(
     """The power report with every net's load recomputed net by net."""
     netlist = layout.netlist
     freq_ghz = 1.0 / constraints.clock_period
-    model = ScalarDelay(DelayCalculator(layout, routing))
+    model = ScalarDelay(layout, routing)
     clock_nets = netlist.clock_nets()
 
     leakage_uw = 0.0

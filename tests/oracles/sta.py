@@ -1,13 +1,19 @@
-"""Scalar oracles for setup and hold STA (``repro.kernels.sta``).
+"""Scalar oracles for wire parasitics and setup and hold STA.
+
+:func:`net_parasitics` is the per-net reading of where a net's wire R/C
+comes from, as :func:`repro.kernels.sta.parasitic_arrays` computes it for
+every net at once: a routed net's R and C scaled by its congestion
+factor, the HPWL estimate for an unrouted net or one the router left at
+(0, 0), then the corner's wire derate.  :class:`ScalarDelay` is the
+per-net delay model the kernel computes as arrays: sink pin loads looked
+up pin by pin in the library, net loads, lumped-Elmore wire delays and
+cell arc delays, from those parasitics and a corner's cell derate.
 
 Forward Kahn propagation of arrival times and reverse-topological
 relaxation of required times, one net at a time with dict lookups: the
 textbook reading that the levelized kernel behind
 :func:`repro.timing.sta.run_sta` and :func:`repro.timing.sta.run_hold_sta`
-must reproduce bitwise.  :class:`ScalarDelay` is the per-net delay model
-the kernel computes as arrays: sink pin loads looked up pin by pin in the
-library, net loads, lumped-Elmore wire delays and cell arc delays,
-from a calculator's parasitics and cell derate.
+must reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -18,19 +24,81 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.errors import TimingError
+from repro.geometry import half_perimeter_wirelength
 from repro.layout.layout import Layout
 from repro.netlist.netlist import Net, Netlist
 from repro.timing.constraints import TimingConstraints
-from repro.timing.delay import PORT_LOAD_FF, DelayCalculator
+from repro.timing.delay import ESTIMATE_LAYER, PORT_LOAD_FF, TYPICAL, Corner
 from repro.timing.sta import EndpointSlack, STAResult
 
 
-class ScalarDelay:
-    """Net loads, wire delays and arc delays of ``dc``, net by net."""
+def estimate_parasitics(layout: Layout, net_name: str) -> Tuple[float, float]:
+    """Pre-route (R, C) of a net: its HPWL × mid-layer unit R and C."""
+    tech = layout.technology
+    length = half_perimeter_wirelength(layout.net_pin_points(net_name))
+    layer = tech.layer(min(ESTIMATE_LAYER, tech.num_layers))
+    return (length * layer.unit_resistance, length * layer.unit_capacitance)
 
-    def __init__(self, dc: DelayCalculator) -> None:
-        self.dc = dc
-        self.netlist = dc.layout.netlist
+
+def routed_parasitics(routing: object, net_name: str) -> Tuple[float, float]:
+    """A routed net's (R, C) × its congestion factor; (0, 0) if unrouted."""
+    route = routing.routes.get(net_name)
+    if route is None:
+        return (0.0, 0.0)
+    k = routing.congestion_factor(net_name)
+    return (route.resistance * k, route.capacitance * k)
+
+
+def net_parasitics(
+    layout: Layout,
+    net_name: str,
+    routing: Optional[object] = None,
+    wire_derate: float = 1.0,
+) -> Tuple[float, float]:
+    """(R Ω, C fF) of a net: routed if possible, estimated otherwise."""
+    r, c = (0.0, 0.0) if routing is None else routed_parasitics(routing, net_name)
+    if r == 0.0 and c == 0.0:
+        r, c = estimate_parasitics(layout, net_name)
+    if wire_derate != 1.0:
+        r, c = r * wire_derate, c * wire_derate
+    return (r, c)
+
+
+def parasitic_lists(
+    layout: Layout, routing: Optional[object] = None, wire_derate: float = 1.0
+) -> Tuple[List[float], List[float]]:
+    """Every net's R and C, net by net in netlist order."""
+    pairs = [
+        net_parasitics(layout, net.name, routing, wire_derate)
+        for net in layout.netlist.nets
+    ]
+    return [r for r, _ in pairs], [c for _, c in pairs]
+
+
+class ScalarDelay:
+    """Net loads, wire delays and arc delays at ``corner``, net by net."""
+
+    def __init__(
+        self,
+        layout: Layout,
+        routing: Optional[object] = None,
+        corner: Corner = TYPICAL,
+    ) -> None:
+        self.layout = layout
+        self.routing = routing
+        self.corner = corner
+        self.netlist = layout.netlist
+        self._parasitics: Dict[str, Tuple[float, float]] = {}
+
+    def parasitics(self, net: Net) -> Tuple[float, float]:
+        """The net's wire (R Ω, C fF), read once."""
+        value = self._parasitics.get(net.name)
+        if value is None:
+            value = net_parasitics(
+                self.layout, net.name, self.routing, self.corner.wire_derate
+            )
+            self._parasitics[net.name] = value
+        return value
 
     def sink_pin_load(self, net: Net) -> float:
         """Total input-pin capacitance hanging on the net (fF)."""
@@ -44,7 +112,7 @@ class ScalarDelay:
 
     def net_load(self, net: Net) -> float:
         """Total load seen by the net's driver: wire C plus pin caps (fF)."""
-        _, c_wire = self.dc.net_parasitics(net.name)
+        _, c_wire = self.parasitics(net)
         return c_wire + self.sink_pin_load(net)
 
     def wire_delay(self, net: Net) -> float:
@@ -53,7 +121,7 @@ class ScalarDelay:
         R is in Ω and C in fF, so R·C is in 1e-6 ns; the 1e-6 factor
         converts to ns.
         """
-        r_wire, c_wire = self.dc.net_parasitics(net.name)
+        r_wire, c_wire = self.parasitics(net)
         c_sinks = self.sink_pin_load(net)
         return r_wire * (c_wire / 2.0 + c_sinks) * 1e-6
 
@@ -71,7 +139,7 @@ class ScalarDelay:
         load = 0.0
         if out_net_name is not None:
             load = self.net_load(self.netlist.net(out_net_name))
-        return max(a.delay(load) for a in arcs) * self.dc.cell_derate
+        return max(a.delay(load) for a in arcs) * self.corner.cell_derate
 
 
 def _build_graph(
@@ -141,11 +209,10 @@ def _run_sta(
     layout: Layout,
     constraints: TimingConstraints,
     routing: Optional[object] = None,
-    delay_calc: Optional[DelayCalculator] = None,
+    corner: Corner = TYPICAL,
 ) -> STAResult:
     """Setup STA by per-net Kahn propagation with dict lookups."""
-    dc = delay_calc or DelayCalculator(layout, routing)
-    model = ScalarDelay(dc)
+    model = ScalarDelay(layout, routing, corner)
     netlist = layout.netlist
     clock_nets = netlist.clock_nets()
     successors, indegree = _build_graph(netlist, clock_nets)
@@ -253,12 +320,11 @@ def _run_hold_sta(
     layout: Layout,
     constraints: TimingConstraints,
     routing: Optional[object] = None,
-    delay_calc: Optional[DelayCalculator] = None,
+    corner: Corner = TYPICAL,
     hold_time: float = 0.012,
 ) -> STAResult:
     """Hold STA: Kahn propagation of the earliest arrival per net."""
-    dc = delay_calc or DelayCalculator(layout, routing)
-    model = ScalarDelay(dc)
+    model = ScalarDelay(layout, routing, corner)
     netlist = layout.netlist
     clock_nets = netlist.clock_nets()
     successors, indegree = _build_graph(netlist, clock_nets)

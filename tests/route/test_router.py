@@ -7,6 +7,7 @@ from repro.bench.designs import build_design
 from repro.errors import RoutingError
 from repro.geometry import Point, half_perimeter_wirelength
 from repro.kernels.routegrid import spanning_pairs
+from repro.layout.pins import pin_table
 from repro.route.ndr import NonDefaultRule
 from repro.route.router import (
     RoutePlan,
@@ -83,13 +84,18 @@ class TestGlobalRoute:
 
     def test_parasitics_positive(self, small_layout):
         result = global_route(small_layout)
-        for name in result.routes:
-            r, c = result.net_parasitics(name)
-            assert r >= 0 and c >= 0
+        _, r, c = result.wire_rc()
+        assert len(r) == len(result.routes)
+        assert (r >= 0).all() and (c >= 0).all()
 
     def test_unrouted_net_parasitics_zero(self, small_layout):
+        """Only plan nets have R/C; STA estimates every other net."""
         result = global_route(small_layout)
-        assert result.net_parasitics("ghost") == (0.0, 0.0)
+        ids, _, _ = result.wire_rc()
+        index = pin_table(small_layout.netlist).net_index
+        assert ids.tolist() == [index[name] for name in result.plan.nets]
+        assert "ghost" not in result.plan.position
+        assert result.congestion_factor("ghost") == 1.0
 
     def test_usage_conservation(self, tiny_design, tech):
         """Total committed usage equals the sum over route segments."""

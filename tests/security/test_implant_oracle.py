@@ -41,7 +41,6 @@ from repro.security.trojan import (
 from repro.tech.library import nangate45_library
 from repro.tech.technology import nangate45_like
 from repro.timing.constraints import TimingConstraints
-from repro.timing.delay import DelayCalculator
 from repro.timing.sta import run_sta
 
 from tests.conftest import make_inverter_chain
@@ -50,9 +49,7 @@ from tests.redteam.conftest import FAST_SUPERVISION
 
 def impact_of(layout, constraints):
     """The fast path's state for one target."""
-    return ImplantImpact(
-        layout, constraints, DelayCalculator(layout), check_drc(layout).count
-    )
+    return ImplantImpact(layout, constraints, check_drc(layout).count)
 
 
 def oracle(layout, report, constraints):

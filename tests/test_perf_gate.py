@@ -129,6 +129,59 @@ class TestLayers:
             "drc.check.self_ms"] = 90.0
         assert failures(head) == []
 
+    def test_gated_layer_head_no_longer_calls_fails(self):
+        base = record()
+        base["workloads"]["harden_suite"]["ledger"][
+            "core.place_op.calls"] = 16
+        head = record()
+        head["workloads"]["harden_suite"]["ledger"].update({
+            "core.place_op.calls": 0, "core.place_op.self_ms": 0.0})
+        (fail,) = failures(head, base)
+        assert (fail.workload, fail.subject) == ("harden_suite",
+                                                 "layer core.place_op")
+        assert "16 calls -> none in head" in str(fail)
+
+    def test_gated_layer_missing_from_head_fails(self):
+        base = record()
+        base["workloads"]["explore_aes1"]["ledger"][
+            "route.global_route.calls"] = 10
+        head = record()
+        ledger = head["workloads"]["explore_aes1"]["ledger"]
+        del ledger["route.global_route.self_ms"]
+        (fail,) = failures(head, base)
+        assert (fail.workload, fail.subject) == ("explore_aes1",
+                                                 "layer route.global_route")
+
+    def test_gated_layer_head_still_calls_is_timed(self):
+        base = record()
+        base["workloads"]["harden_suite"]["ledger"][
+            "core.place_op.calls"] = 16
+        head = copy.deepcopy(base)
+        head["workloads"]["harden_suite"]["ledger"][
+            "core.place_op.calls"] = 8
+        assert failures(head, base) == []
+        head["workloads"]["harden_suite"]["ledger"][
+            "core.place_op.self_ms"] = 150.0 * (1.0 + LAYER_BOUND) + 1.0
+        (fail,) = failures(head, base)
+        assert "ms/op" in fail.detail
+
+    def test_layer_base_never_called_is_not_a_vanished_layer(self):
+        base = record()
+        base["workloads"]["harden_suite"]["ledger"][
+            "core.place_op.calls"] = 0
+        head = record()
+        head["workloads"]["harden_suite"]["ledger"][
+            "core.place_op.calls"] = 0
+        assert failures(head, base) == []
+
+    def test_small_layer_head_no_longer_calls_passes(self):
+        base = record()
+        base["workloads"]["explore_aes1"]["ledger"]["drc.check.calls"] = 10
+        head = record()
+        head["workloads"]["explore_aes1"]["ledger"].update({
+            "drc.check.calls": 0, "drc.check.self_ms": 0.0})
+        assert failures(head, base) == []
+
     def test_share_counts_unattributed_time(self):
         # With 30% unattributed, placement's 150 of 1000 ms is 10.5% of
         # wall and stays gated; DRC's 30 is 2.1% and is not.

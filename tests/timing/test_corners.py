@@ -7,6 +7,7 @@ from repro.timing.corners import (
     Corner,
     run_multi_corner_sta,
 )
+from repro.timing.sta import run_sta
 
 
 class TestCorners:
@@ -29,7 +30,19 @@ class TestCorners:
         result = run_multi_corner_sta(
             d.layout, d.constraints, routing=d.routing
         )
-        assert result.results["typical"].tns == pytest.approx(d.sta.tns)
+        typical = result.results["typical"]
+        assert typical == d.sta
+        assert typical.load.tolist() == d.sta.load.tolist()
+
+    @pytest.mark.parametrize("corner", DEFAULT_CORNERS, ids=lambda c: c.name)
+    def test_each_corner_matches_run_sta(self, misty_design, corner):
+        d = misty_design
+        result = run_multi_corner_sta(
+            d.layout, d.constraints, routing=d.routing
+        ).results[corner.name]
+        single = run_sta(d.layout, d.constraints, routing=d.routing, corner=corner)
+        assert result == single
+        assert result.load.tolist() == single.load.tolist()
 
     def test_derates_scale_arrivals(self, misty_design):
         d = misty_design

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.timing.delay import DelayCalculator
+from repro.timing.corners import DEFAULT_CORNERS
 from repro.timing.sta import run_hold_sta, run_sta
 
 
@@ -30,12 +30,14 @@ class TestHold:
         assert result.tns < 0
 
     def test_fast_corner_hold(self, misty_design):
-        """The intended usage: check hold with a fast-corner calculator."""
+        """The intended usage: check hold at the fast corner."""
         d = misty_design
-        dc = DelayCalculator(
-            d.layout, d.routing, cell_derate=0.88, wire_derate=0.92
-        )
+        fast = {c.name: c for c in DEFAULT_CORNERS}["fast"]
         result = run_hold_sta(
-            d.layout, d.constraints, routing=d.routing, delay_calc=dc
+            d.layout, d.constraints, routing=d.routing, corner=fast
         )
+        typical = run_hold_sta(d.layout, d.constraints, routing=d.routing)
         assert result.tns == 0.0
+        assert min(e.required for e in result.endpoints) < min(
+            e.required for e in typical.endpoints
+        )

@@ -8,7 +8,6 @@ from repro.netlist.netlist import Netlist, PortDirection
 from repro.layout.layout import Layout
 from repro.place.global_place import assign_port_positions
 from repro.timing.constraints import TimingConstraints
-from repro.timing.delay import DelayCalculator
 from repro.timing.sta import run_sta
 from tests.conftest import make_inverter_chain, make_registered_pipeline
 from tests.oracles.sta import ScalarDelay
@@ -44,7 +43,7 @@ class TestCombinational:
         """Arrival at 'out' equals the longest path in an explicit graph."""
         constraints = TimingConstraints(clock_period=10.0)
         sta = run_sta(small_layout, constraints)
-        model = ScalarDelay(DelayCalculator(small_layout))
+        model = ScalarDelay(small_layout)
         g = nx.DiGraph()
         nl = small_layout.netlist
         for net in nl.nets:

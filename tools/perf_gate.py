@@ -60,12 +60,26 @@ class Check(NamedTuple):
 
 
 def _layer_checks(workload: str, base: dict, head: dict) -> Iterator[Check]:
-    """Layers' self times sum to ``1 - unattributed_share`` of wall."""
+    """Layers' self times sum to ``1 - unattributed_share`` of wall.
+
+    A gated layer that base calls and head never calls fails: its self
+    time reads 0.0 in head, which is no measurement of the work moved
+    elsewhere.
+    """
     layers = {k.removesuffix(".self_ms"): v for k, v in base.items()
               if k.endswith(".self_ms")}
     wall = sum(layers.values()) / (1.0 - base["unattributed_share"])
     for layer, ms in layers.items():
         if ms / wall < LAYER_SHARE:
+            continue
+        base_calls = base.get(layer + ".calls", 0)
+        if base_calls > 0 and head.get(layer + ".calls", 0) == 0:
+            yield Check(
+                workload, f"layer {layer}",
+                f"{base_calls} calls -> none in head ({ms / wall:.1%} of"
+                f" base wall)",
+                True,
+            )
             continue
         head_ms = head.get(layer + ".self_ms", 0.0)
         yield Check(
