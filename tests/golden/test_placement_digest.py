@@ -19,7 +19,7 @@ from repro.core.flow import GDSIIGuard
 from repro.core.local_density import local_density_adjustment
 from repro.layout.layout import Layout
 
-DESIGNS = ("PRESENT", "SPARX", "MISTY")
+DESIGNS = ("PRESENT", "SPARX", "MISTY", "CAST", "AES_2")
 LDA_N, LDA_N_ITER = 16, 2
 
 
