@@ -27,15 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.designs import build_design
 from repro.bench.generators import GeneratorParams, generate_design
 from repro.core.cell_shift import (
     CellShiftReport,
+    _BelowGap,
+    _dp_gap_layout,
     _exploitable_sites,
     _IncrementalBelow,
+    _plan_gaps,
+    _simulate_plan,
     cell_shift,
 )
 from repro.errors import LayoutError
@@ -610,6 +614,84 @@ def test_incremental_below_equal(design):
         assert tracker.exploitable(thresh) == (
             sum(c.weight for c in components), len(components)
         ), f"thresh {thresh}"
+
+
+# ---------------------------------------------------------------------- #
+# cell-shift gap planner
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def _planner_case(draw):
+    """One segment, the below gaps it plans over, its cells and budgets."""
+    p_lo = draw(st.integers(0, 12), label="p_lo")
+    widths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=12),
+                  label="widths")
+    p_hi = p_lo + sum(widths) + draw(st.integers(0, 40), label="free")
+    # Sorted, disjoint below gaps from paired cut points; the segment's
+    # own edges may be cut points, so gaps can start or end on them.
+    cuts = set(draw(st.lists(st.integers(0, p_hi + 6), max_size=30),
+                    label="cuts"))
+    if draw(st.booleans(), label="edge_lo"):
+        cuts.add(p_lo)
+    if draw(st.booleans(), label="edge_hi"):
+        cuts.add(p_hi)
+    cuts = sorted(cuts)
+    below = [
+        (lo, hi, hi - lo + draw(st.integers(0, 25), label=f"extra{k}"))
+        for k, (lo, hi) in enumerate(zip(cuts[::2], cuts[1::2]))
+    ]
+    quota = draw(st.integers(1, 19), label="quota")
+    gap_cap = draw(st.sampled_from([None, (quota + 1) // 2]), label="gap_cap")
+    proposed = draw(
+        st.one_of(st.none(), st.lists(st.integers(0, quota + 2),
+                                      min_size=len(widths),
+                                      max_size=len(widths))),
+        label="proposed",
+    )
+    return p_lo, p_hi, widths, below, quota, gap_cap, proposed
+
+
+def _weights(below):
+    return [(b.lo, b.hi, b.weight) for b in below]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planner_case())
+# The eager plan strands a site that the DP's plan places.
+@example((2, 7, [1, 1], [(3, 6, 7)], 9, None, None))
+def test_gap_planner_equal(case):
+    """The planner against the oracle's copy of it, call by call.
+
+    Each call gets its own copy of the below gaps; the plan, the leftover
+    and every below weight afterwards must be equal.
+    """
+    p_lo, p_hi, widths, below, quota, gap_cap, proposed = case
+
+    def gaps(cls):
+        return [cls(lo, hi, w) for lo, hi, w in below]
+
+    kernel, oracle = gaps(_BelowGap), gaps(oracle_cs._BelowGap)
+    assert _simulate_plan(
+        p_lo, p_hi, list(widths), proposed, kernel, quota, gap_cap
+    ) == oracle_cs._simulate_plan(
+        p_lo, p_hi, list(widths), proposed, oracle, quota, gap_cap
+    )
+    assert _weights(kernel) == _weights(oracle)
+
+    assert _dp_gap_layout(
+        p_lo, p_hi, list(widths), gaps(_BelowGap), quota, gap_cap
+    ) == oracle_cs._dp_gap_layout(
+        p_lo, p_hi, list(widths), gaps(oracle_cs._BelowGap), quota, gap_cap
+    )
+
+    kernel, oracle = gaps(_BelowGap), gaps(oracle_cs._BelowGap)
+    assert _plan_gaps(
+        p_lo, p_hi, list(widths), kernel, quota, gap_cap
+    ) == oracle_cs._plan_gaps(
+        p_lo, p_hi, list(widths), oracle, quota, gap_cap
+    )
+    assert _weights(kernel) == _weights(oracle)
 
 
 # ---------------------------------------------------------------------- #

@@ -17,6 +17,8 @@ results:
 * ``exploitable._filtered_row_intervals`` —
   ``kernels.exploitable.filtered_row_intervals``;
 * ``cell_shift._below_weights`` — ``core.cell_shift._IncrementalBelow``;
+* ``cell_shift._plan_gaps`` / ``_simulate_plan`` / ``_dp_gap_layout`` —
+  the re-space's gap planner of the same names in ``core.cell_shift``;
 * ``cell_shift.cell_shift`` — ``core.cell_shift.cell_shift``'s
   ``"respace"`` strategy, as mutations of layout copies;
 * ``legalize._best_start_in_row`` / ``legalize._find_spot`` /
