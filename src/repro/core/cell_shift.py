@@ -23,6 +23,7 @@ score a candidate and to adopt the winner, one changed row at a time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -125,15 +126,10 @@ def _exploitable_sites(layout: Layout, thresh_er: int) -> int:
     )
 
 
-class _BelowGap:
-    """A free gap of the row below, annotated with its component weight."""
-
-    __slots__ = ("lo", "hi", "weight")
-
-    def __init__(self, lo: int, hi: int, weight: int) -> None:
-        self.lo = lo
-        self.hi = hi
-        self.weight = weight
+#: The free gaps of the row below, sorted and disjoint, as three parallel
+#: lists: starts, ends and the weight of each gap's component.  The
+#: planner merges components by rewriting the weights in place.
+Below = Tuple[List[int], List[int], List[int]]
 
 
 class _IncrementalBelow:
@@ -194,12 +190,14 @@ class _IncrementalBelow:
                 j += 1
         self.prev = cur
 
-    def below_gaps(self) -> List[_BelowGap]:
+    def below_gaps(self) -> Below:
         """The last added row's gaps with their component weights."""
-        return [
-            _BelowGap(lo, hi, self.weight[self._find(node)])
-            for lo, hi, node in self.prev
-        ]
+        prev = self.prev
+        return (
+            [lo for lo, _, _ in prev],
+            [hi for _, hi, _ in prev],
+            [self.weight[self._find(node)] for _, _, node in prev],
+        )
 
     def exploitable(self, thresh_er: int) -> Tuple[int, int]:
         """Free sites and number of the components weighing ``thresh_er`` up.
@@ -217,26 +215,41 @@ class _IncrementalBelow:
 
 
 def _max_chain_gap(
-    cursor: int, g_cap: int, below: List[_BelowGap], quota: int
+    cursor: int,
+    g_cap: int,
+    los: List[int],
+    weights: List[int],
+    first: int,
+    quota: int,
 ) -> int:
     """Largest gap ``[cursor, cursor+g)`` whose merged component ≤ quota.
 
     A gap overlapping below-gaps b1..bk merges their components; the
     merged weight ``g + Σ w(bj)`` must stay within ``quota``.  The maximum
-    is found by scanning the overlap breakpoints left to right.
+    is found by scanning the overlap breakpoints left to right.  The
+    below gaps are sorted and disjoint (``los`` their starts, ``weights``
+    their component weights) and ``first`` is the first of them that
+    ends past ``cursor``, so the gaps a gap can overlap are the run from
+    ``first`` on that starts before ``cursor + g_cap``.
     """
     if g_cap <= 0:
         return 0
-    overl = [b for b in below if b.hi > cursor and b.lo < cursor + g_cap]
-    acc = sum(b.weight for b in overl if b.lo <= cursor)
-    future = [b for b in overl if b.lo > cursor]
-    first_brk = (future[0].lo - cursor) if future else g_cap
+    n = len(los)
+    j = first
+    acc = 0
+    if j < n and los[j] <= cursor:  # the gap the cursor sits in
+        acc = weights[j]
+        j += 1
+    stop = j  # los[j:stop] start inside [cursor, cursor + g_cap)
+    while stop < n and los[stop] < cursor + g_cap:
+        stop += 1
+    first_brk = (los[j] - cursor) if j < stop else g_cap
     best = min(quota - acc, g_cap, first_brk)
-    for j, b in enumerate(future):
-        acc += b.weight
-        nxt = (future[j + 1].lo - cursor) if j + 1 < len(future) else g_cap
+    for k in range(j, stop):
+        acc += weights[k]
+        nxt = (los[k + 1] - cursor) if k + 1 < stop else g_cap
         cand = min(quota - acc, g_cap, nxt)
-        if cand > b.lo - cursor:
+        if cand > los[k] - cursor:
             best = max(best, cand)
     return max(best, 0)
 
@@ -245,7 +258,7 @@ def _dp_gap_layout(
     seg_lo: int,
     seg_hi: int,
     widths: List[int],
-    below: List[_BelowGap],
+    below: Below,
     quota: int,
     gap_cap: Optional[int] = None,
 ) -> Optional[List[int]]:
@@ -258,42 +271,54 @@ def _dp_gap_layout(
     the DP (the caller re-applies merge accounting afterwards), which can
     overshoot a component by at most one quota — still far below any
     realistic threshold pile-up.
+
+    A cell steps a whole run of reached states at once: from a reached
+    prefix end ``e`` the next cell may end anywhere in
+    ``[e + w, min(e + gmax(e) + w, span)]``, and these ranges start at
+    consecutive sites, so a run ``[a, b]`` reaches
+    ``[a + w, min(max(e + gmax(e)) + w, span)]`` over ``e`` in the run.
     """
     m = len(widths)
     if m == 0:
         return None
     span = seg_hi - seg_lo
+    los, his, weights = below
+    cap = quota if gap_cap is None else min(gap_cap, quota)
     # reach[i][e] — after placing i cells, can the occupied prefix end at
     # seg_lo + e?
     reach = [bytearray(span + 1) for _ in range(m + 1)]
     reach[0][0] = 1
-    gmax_cache: dict = {}
-
-    cap = quota if gap_cap is None else min(gap_cap, quota)
-
-    def gmax(pos: int) -> int:
-        g = gmax_cache.get(pos)
-        if g is None:
-            g = _max_chain_gap(pos, cap, below, quota)
-            gmax_cache[pos] = g
-        return g
+    # farthest[e] = e + gmax(seg_lo + e), or -1 until a run needs it.
+    farthest = [-1] * (span + 1)
 
     ones = b"\x01" * (span + 1)
     for i in range(m):
         w = widths[i]
         cur = reach[i]
         nxt = reach[i + 1]
-        for e in range(span + 1):
-            if not cur[e]:
-                continue
-            pos = seg_lo + e
-            top = min(gmax(pos), span - e - w)
-            if top >= 0:
-                # marks exactly the cells the per-g loop would set
-                nxt[e + w : e + w + top + 1] = ones[: top + 1]
+        stop = span - w + 1  # a prefix ending at or past it cannot fit w
+        a = cur.find(1, 0, stop) if stop > 0 else -1
+        while a >= 0:
+            b = cur.find(0, a, stop)
+            if b < 0:
+                b = stop
+            e = a
+            while True:
+                try:
+                    e = farthest.index(-1, e, b)
+                except ValueError:
+                    break
+                pos = seg_lo + e
+                farthest[e] = e + _max_chain_gap(
+                    pos, cap, los, weights, bisect_right(his, pos), quota
+                )
+                e += 1
+            top = min(max(farthest[a:b]) + w, span)
+            nxt[a + w : top + 1] = ones[: top - a - w + 1]
+            a = cur.find(1, b, stop)
     final = reach[m]
-    best_e = max((e for e in range(span + 1) if final[e]), default=None)
-    if best_e is None:
+    best_e = final.rfind(1)
+    if best_e < 0:
         return None
     # Backtrack: find per-cell gaps.
     gaps: List[int] = []
@@ -305,7 +330,7 @@ def _dp_gap_layout(
             e_prev = e - w - g
             if e_prev < 0 or not reach[i][e_prev]:
                 continue
-            if g > 0 and gmax(seg_lo + e_prev) < g:
+            if g > 0 and farthest[e_prev] - e_prev < g:
                 continue
             gaps.append(g)
             e = e_prev
@@ -322,7 +347,7 @@ def _simulate_plan(
     p_hi: int,
     widths: List[int],
     proposed: Optional[List[int]],
-    below: List[_BelowGap],
+    below: Below,
     quota: int,
     gap_cap: Optional[int] = None,
 ) -> tuple:
@@ -331,29 +356,38 @@ def _simulate_plan(
     When ``proposed`` is None, gaps are chosen eagerly (max admissible at
     each position); otherwise each proposed gap is clamped to what the
     live chain budget still admits.  ``below`` is mutated: every placed
-    gap merges the below components it overlaps.
+    gap merges the below components it overlaps.  The cursor only moves
+    right, so one index walks the sorted below gaps once.
 
     Returns:
         (plan, leftover) — the realized gap before each cell and the free
         sites that could not be placed (they land after the last cell).
     """
+    los, his, weights = below
+    n = len(los)
     remaining = (p_hi - p_lo) - sum(widths)
     cursor = p_lo
     plan: List[int] = []
     cap = quota if gap_cap is None else min(gap_cap, quota)
+    first = 0
     for i, w in enumerate(widths):
+        while first < n and his[first] <= cursor:
+            first += 1
         g_cap = min(cap, remaining, p_hi - cursor)
         if proposed is not None:
             g_cap = min(g_cap, proposed[i])
-        g = _max_chain_gap(cursor, g_cap, below, quota)
+        if first == n or los[first] >= cursor + g_cap:
+            g = g_cap if g_cap > 0 else 0  # overlaps no below gap
+        else:
+            g = _max_chain_gap(cursor, g_cap, los, weights, first, quota)
         if g > 0:
-            overlapped = [
-                b for b in below if b.hi > cursor and b.lo < cursor + g
-            ]
-            if overlapped:
-                merged = g + sum(b.weight for b in overlapped)
-                for b in overlapped:
-                    b.weight = merged
+            end = cursor + g
+            stop = first
+            while stop < n and los[stop] < end:
+                stop += 1
+            if stop > first:
+                merged = g + sum(weights[first:stop])
+                weights[first:stop] = [merged] * (stop - first)
         cursor += g + w
         remaining -= g
         plan.append(g)
@@ -402,16 +436,17 @@ def _plan_gaps(
     p_lo: int,
     p_hi: int,
     widths: List[int],
-    below: List[_BelowGap],
+    below: Below,
     quota: int,
     gap_cap: Optional[int],
 ) -> List[int]:
     """The gap before each cell of one segment, in planning coordinates.
 
-    ``below`` ends up carrying the adopted plan's merges.
+    ``below``'s weights end up carrying the adopted plan's merges.
     """
+    los, his, weights = below
     # Plan 1 — eager scan with live merge bookkeeping.
-    snapshot = [(b.lo, b.hi, b.weight) for b in below]
+    snapshot = list(weights)
     plan, remaining = _simulate_plan(
         p_lo, p_hi, widths, None, below, quota, gap_cap=gap_cap
     )
@@ -419,26 +454,28 @@ def _plan_gaps(
         # Plan 2 — optimal gap budget via the reachability DP,
         # re-simulated with live bookkeeping (clamped where the
         # DP's merge-free approximation oversubscribed a chain).
-        below_dp = [_BelowGap(lo, hi, w) for lo, hi, w in snapshot]
         raw = _dp_gap_layout(
-            p_lo, p_hi, widths, below_dp, quota, gap_cap=gap_cap
+            p_lo, p_hi, widths, (los, his, snapshot), quota, gap_cap=gap_cap
         )
         if raw is not None:
-            below2 = [_BelowGap(lo, hi, w) for lo, hi, w in snapshot]
+            weights2 = list(snapshot)
             plan2, remaining2 = _simulate_plan(
-                p_lo, p_hi, widths, raw, below2, quota, gap_cap=gap_cap
+                p_lo, p_hi, widths, raw, (los, his, weights2), quota,
+                gap_cap=gap_cap,
             )
             if remaining2 < remaining:
                 plan, remaining = plan2, remaining2
-                below[:] = below2
+                weights[:] = weights2
             # else: keep plan 1; `below` already carries its state
     if remaining > 0 and gap_cap is not None:
         # The half-quota cap starved this row: retry uncapped.
-        below3 = [_BelowGap(lo, hi, w) for lo, hi, w in snapshot]
-        plan3, remaining3 = _simulate_plan(p_lo, p_hi, widths, None, below3, quota)
+        weights3 = list(snapshot)
+        plan3, remaining3 = _simulate_plan(
+            p_lo, p_hi, widths, None, (los, his, weights3), quota
+        )
         if remaining3 < remaining:
             plan = plan3
-            below[:] = below3
+            weights[:] = weights3
     return plan
 
 
@@ -493,10 +530,12 @@ def _respace_pass(
             if not rightward:
                 # Work in mirrored coordinates so the planner is always a
                 # forward scan; targets are mapped back afterwards.
-                below = [
-                    _BelowGap(w_row - b.hi, w_row - b.lo, b.weight)
-                    for b in reversed(below)
-                ]
+                los, his, weights = below
+                below = (
+                    [w_row - hi for hi in reversed(his)],
+                    [w_row - lo for lo in reversed(los)],
+                    weights[::-1],
+                )
             for seg_lo, seg_hi, first, stop in cells.segments:
                 widths = cells.widths[first:stop]
                 if rightward:
@@ -545,6 +584,11 @@ def _respace(
     ``score()`` rates ``layout`` as it stands; when it is ``None``, a
     candidate's exploitable sites are its score.  Trials are start lists:
     ``layout`` is written only to score a trial and to adopt the winner.
+
+    Both scores count sites, so none is below 0.  Once the best score is
+    0 no later candidate can score lower, so the remaining policies are
+    neither planned nor rated; likewise a policy stops passing once its
+    exploitable sites are 0, since no pass could lower them.
     """
     rows = [_RowCells(occ, layout.fixed) for occ in layout.occupancy]
     base = [list(occ.starts) for occ in layout.occupancy]
@@ -568,11 +612,15 @@ def _respace(
     best_score = rate(base, sites_before)
     winner = (base, 0, 0, report.regions_before)
     for mode in ("alternate", "forward", "backward"):
+        if best_score <= 0:
+            break
         starts = base
         best = sites_before
         moves = shifted_sites = 0
         regions = None
         for _ in range(MAX_ROUNDS):
+            if best <= 0:
+                break
             moved, tracker, pass_moves, pass_sites = _respace_pass(
                 rows, starts, quota, gap_cap, mode
             )
@@ -651,9 +699,11 @@ def cell_shift(
     if strategy not in ("respace", "greedy"):
         raise FlowError(f"unknown cell-shift strategy {strategy!r}")
     report = CellShiftReport()
-    exploitable = layout.gap_graph().exploitable_components(thresh_er)
-    report.regions_before = len(exploitable)
-    sites_before = sum(c.weight for c in exploitable)
+    # The gap graph's exploitable sites and components, grown row by row.
+    tracker = _IncrementalBelow()
+    for occ in layout.occupancy:
+        tracker.add_row([(iv.lo, iv.hi) for iv in occ.free_intervals()])
+    sites_before, report.regions_before = tracker.exploitable(thresh_er)
     if strategy == "respace":
 
         def distance_aware() -> float:

@@ -225,9 +225,14 @@ class Layout:
                 raise LayoutError(f"{p.name!r} is fixed")
         occ.rewrite(starts)
         placements = self._placements
+        # The cells were placed, so each has its slot: write the centres
+        # from the centre tables, as _write_slot does.
+        index, cx, cy, row_cy = self._index, self._cx, self._cy, self._row_cy[row]
         for p, start in moved:
-            placements[p.name] = Placement(row=row, start=start)
-            self._write_slot(p.name, row, start, p.width)
+            placements[p.name] = Placement(row, start)
+            i = index[p.name]
+            cx[i] = self._centers_x(p.width)[start]
+            cy[i] = row_cy
 
     def reorder_fixed_first(self) -> None:
         """List the fixed cells first in :attr:`placements`, then the rest.
@@ -256,14 +261,18 @@ class Layout:
         i = self._index.get(name)
         if i is None or i >= len(self._cx):
             i = self._add_slots(name)
+        self._cx[i] = self._centers_x(width)[start]
+        self._cy[i] = self._row_cy[row]
+
+    def _centers_x(self, width: int) -> List[float]:
+        """µm centre x of a ``width``-site cell at each start site."""
         start_cx = self._start_cx.get(width)
         if start_cx is None:
             start_cx = self._start_cx[width] = [
                 self.span_rect(0, s, width).center.x
                 for s in range(self.sites_per_row)
             ]
-        self._cx[i] = start_cx[start]
-        self._cy[i] = self._row_cy[row]
+        return start_cx
 
     def _add_slots(self, name: str) -> int:
         """Slot index of an instance the netlist gained since the lists grew.

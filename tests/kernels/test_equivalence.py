@@ -34,7 +34,6 @@ from repro.bench.designs import build_design
 from repro.bench.generators import GeneratorParams, generate_design
 from repro.core.cell_shift import (
     CellShiftReport,
-    _BelowGap,
     _dp_gap_layout,
     _exploitable_sites,
     _IncrementalBelow,
@@ -596,12 +595,13 @@ def test_incremental_below_equal(design):
     """
     layout = design["layout"]
     tracker = _IncrementalBelow()
-    assert tracker.below_gaps() == [] == oracle_cs._below_weights(layout, 0)
+    assert tracker.below_gaps() == ([], [], [])
+    assert oracle_cs._below_weights(layout, 0) == []
     for r in range(layout.num_rows):
         tracker.add_row(
             [(iv.lo, iv.hi) for iv in layout.occupancy[r].free_intervals()]
         )
-        kernel = [(b.lo, b.hi, b.weight) for b in tracker.below_gaps()]
+        kernel = list(zip(*tracker.below_gaps()))
         oracle = [
             (b.lo, b.hi, b.weight)
             for b in oracle_cs._below_weights(layout, r + 1)
@@ -656,6 +656,12 @@ def _weights(below):
     return [(b.lo, b.hi, b.weight) for b in below]
 
 
+def _below(gaps):
+    """Production's below lists for ``(lo, hi, weight)`` gaps."""
+    return ([lo for lo, _, _ in gaps], [hi for _, hi, _ in gaps],
+            [w for _, _, w in gaps])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_planner_case())
 # The eager plan strands a site that the DP's plan places.
@@ -668,30 +674,30 @@ def test_gap_planner_equal(case):
     """
     p_lo, p_hi, widths, below, quota, gap_cap, proposed = case
 
-    def gaps(cls):
-        return [cls(lo, hi, w) for lo, hi, w in below]
+    def oracle_gaps():
+        return [oracle_cs._BelowGap(lo, hi, w) for lo, hi, w in below]
 
-    kernel, oracle = gaps(_BelowGap), gaps(oracle_cs._BelowGap)
+    kernel, oracle = _below(below), oracle_gaps()
     assert _simulate_plan(
         p_lo, p_hi, list(widths), proposed, kernel, quota, gap_cap
     ) == oracle_cs._simulate_plan(
         p_lo, p_hi, list(widths), proposed, oracle, quota, gap_cap
     )
-    assert _weights(kernel) == _weights(oracle)
+    assert list(zip(*kernel)) == _weights(oracle)
 
     assert _dp_gap_layout(
-        p_lo, p_hi, list(widths), gaps(_BelowGap), quota, gap_cap
+        p_lo, p_hi, list(widths), _below(below), quota, gap_cap
     ) == oracle_cs._dp_gap_layout(
-        p_lo, p_hi, list(widths), gaps(oracle_cs._BelowGap), quota, gap_cap
+        p_lo, p_hi, list(widths), oracle_gaps(), quota, gap_cap
     )
 
-    kernel, oracle = gaps(_BelowGap), gaps(oracle_cs._BelowGap)
+    kernel, oracle = _below(below), oracle_gaps()
     assert _plan_gaps(
         p_lo, p_hi, list(widths), kernel, quota, gap_cap
     ) == oracle_cs._plan_gaps(
         p_lo, p_hi, list(widths), oracle, quota, gap_cap
     )
-    assert _weights(kernel) == _weights(oracle)
+    assert list(zip(*kernel)) == _weights(oracle)
 
 
 # ---------------------------------------------------------------------- #
