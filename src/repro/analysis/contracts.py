@@ -46,16 +46,15 @@ AMBIENT_MODULES: FrozenSet[str] = frozenset(
 #: *what*, a pure function computes).
 PURITY_NEUTRAL_KINDS: FrozenSet[str] = frozenset({"blocking", "lock"})
 
-#: The kernels' five version-keyed memo caches and the layout's pin-table
-#: map (WeakKey maps invalidated by ``mod_count``, occupancy ``version``
-#: and budget row epochs): written on a miss, observationally pure, so
-#: allowed on every pure path that reaches a kernel or a pin-geometry
-#: read.
+#: The kernels' four memo caches and the layout's pin-table map (WeakKey
+#: maps invalidated by ``mod_count``, occupancy ``version``, a row's free
+#: bits and budget row epochs and ``used``): written on a miss,
+#: observationally pure, so allowed on every pure path that reaches a
+#: kernel or a pin-geometry read.
 _KERNEL_MEMO_CACHES: Tuple[str, ...] = (
     "mutates_global:repro.kernels.exploitable._FILLERS",
     "mutates_global:repro.kernels.exploitable._ROW_MASKS",
     "mutates_global:repro.kernels.legalize._BUDGET_CACHE",
-    "mutates_global:repro.kernels.legalize._FREE_BITS",
     "mutates_global:repro.kernels.sta._CACHE",
     "mutates_global:repro.layout.pins._TABLES",
 )

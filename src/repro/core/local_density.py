@@ -128,16 +128,19 @@ def asset_density_caps(
     gain = 3.5
     util = layout.utilization()
     needed = util * 1.03
-    vec_sigmoid = np.vectorize(_sigmoid)
+
+    def sigmoid_map(bias: float) -> np.ndarray:
+        caps = map(_sigmoid, (gain * z + bias).ravel().tolist())
+        return np.array(list(caps)).reshape(z.shape)
+
     bias_lo, bias_hi = -4.0, 12.0
     for _ in range(48):
         bias = 0.5 * (bias_lo + bias_hi)
-        caps = vec_sigmoid(gain * z + bias)
-        if float(caps.mean()) < needed:
+        if float(sigmoid_map(bias).mean()) < needed:
             bias_lo = bias
         else:
             bias_hi = bias
-    return vec_sigmoid(gain * z + bias_hi)
+    return sigmoid_map(bias_hi)
 
 
 def asset_centroid(layout: Layout, assets: SecurityAssets) -> Optional[Point]:

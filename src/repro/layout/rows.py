@@ -6,6 +6,9 @@ site; lookups use binary search.  This representation makes the queries the
 Cell-Shift operator needs — "gap intervals of this row", "cell immediately
 right of site s" — O(log n), and single-cell moves O(n) worst case (list
 splice), which is plenty for the design sizes the benchmark suite builds.
+Each occupancy also keeps its free sites as one Python int
+(:attr:`RowOccupancy.free`), updated by every mutation, for the
+legalizer's bitset search.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ class RowOccupancy:
         #: bumped on every occupancy mutation; the vectorized kernels key
         #: their per-row bitmap caches on (occupancy, version).
         self.version = 0
+        #: the free sites as an int: bit ``s`` is set when site ``s`` is
+        #: free.  Every mutation keeps it current.
+        self.free = (1 << row.num_sites) - 1
 
     def __len__(self) -> int:
         return len(self._items)
@@ -108,6 +114,7 @@ class RowOccupancy:
             RowPlacement(name=p.name, start=p.start, width=p.width)
             for p in self._items
         ]
+        other.free = self.free
         return other
 
     def used_sites(self) -> int:
@@ -154,6 +161,7 @@ class RowOccupancy:
         i = self._index_at_or_after(start)
         self._starts.insert(i, start)
         self._items.insert(i, p)
+        self.free &= ~(((1 << width) - 1) << start)
         self.version += 1
         return p
 
@@ -163,6 +171,7 @@ class RowOccupancy:
         i = bisect.bisect_left(self._starts, p.start)
         del self._starts[i]
         del self._items[i]
+        self.free |= ((1 << p.width) - 1) << p.start
         self.version += 1
         return p
 
@@ -186,6 +195,8 @@ class RowOccupancy:
         j = self._index_at_or_after(new_start)
         self._starts.insert(j, new_start)
         self._items.insert(j, p)
+        mask = (1 << p.width) - 1
+        self.free = (self.free | mask << old_start) & ~(mask << new_start)
         self.version += 1
 
     def rewrite(self, starts: Sequence[int]) -> None:
@@ -219,9 +230,12 @@ class RowOccupancy:
                 f"cannot shift {items[-1].name!r} past the end of row "
                 f"{self.row.index}"
             )
+        taken = 0
         for p, start in zip(items, starts):
             p.start = start
+            taken |= ((1 << p.width) - 1) << start
         self._starts = list(starts)
+        self.free = ((1 << self.row.num_sites) - 1) & ~taken
         self.version += 1
 
     def cell_right_of(self, site: int) -> Optional[RowPlacement]:

@@ -4,7 +4,11 @@ A :class:`BlockageBudget` turns each partial placement blockage into a
 site-count budget: ``capacity × max_density`` sites may be occupied inside
 its rectangle.  A :class:`BudgetSet` indexes the budgets by row so the hot
 query — "may I place w sites at (row, start)?" — only consults the few
-budgets that actually cover the row.
+budgets that actually cover the row.  A budget's ``used`` is a property:
+however it changes (:meth:`BlockageBudget.commit`, ``release``, or a
+direct write), every set holding the budget mirrors the new value and,
+when the budget's headroom clamped at 0 moved, bumps the epochs of the
+budget's rows.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.geometry import Interval
-from repro.kernels.legalize import row_free_bits
 from repro.layout.blockage import PlacementBlockage
 from repro.layout.layout import Layout
 
@@ -30,13 +33,26 @@ class BlockageBudget:
         capacity = sum(len(iv) for iv in self._spans.values())
         self.capacity = capacity
         self.max_used = int(capacity * blockage.max_density)
+        #: the sets holding this budget, told of every change to ``used``.
+        self._sets: List["BudgetSet"] = []
         # Occupied sites of a span = its length minus its free sites,
-        # counted in the row's cached free-site bitset.
-        self.used = 0
+        # counted in the row's free-site bitset.
+        self._used = 0
         for row, iv in self._spans.items():
-            free = row_free_bits(layout.occupancy[row]) >> iv.lo
+            free = layout.occupancy[row].free >> iv.lo
             free &= (1 << len(iv)) - 1
-            self.used += len(iv) - bin(free).count("1")
+            self._used += len(iv) - bin(free).count("1")
+
+    @property
+    def used(self) -> int:
+        """Sites of the blockage's rectangle taken by placed cells."""
+        return self._used
+
+    @used.setter
+    def used(self, value: int) -> None:
+        old, self._used = self._used, value
+        for budgets in self._sets:
+            budgets._moved(self, old)
 
     @property
     def rows(self) -> Iterator[int]:
@@ -86,22 +102,33 @@ class BudgetSet:
     def __init__(self, budgets: List[BlockageBudget], num_rows: int) -> None:
         self.budgets = budgets
         #: per row, each covering budget with its site span ``(lo, hi)``
-        #: there, in ``budgets`` order.
-        self.spans: List[List[Tuple[BlockageBudget, int, int]]] = [
+        #: there and its position in ``budgets``, in ``budgets`` order.
+        self.spans: List[List[Tuple[BlockageBudget, int, int, int]]] = [
             [] for _ in range(num_rows)
         ]
-        for b in budgets:
+        for i, b in enumerate(budgets):
             for row, iv in b._spans.items():
                 if 0 <= row < num_rows:
-                    self.spans[row].append((b, iv.lo, iv.hi))
+                    self.spans[row].append((b, iv.lo, iv.hi, i))
         #: budget id → its position in ``budgets``.
         self.index: Dict[int, int] = {id(b): i for i, b in enumerate(budgets)}
+        for b in budgets:
+            b._sets.append(self)
         #: every budget's ``used``, in ``budgets`` order, for the
-        #: receiving-target scan; commit and release keep it in step.
+        #: receiving-target scan and the empty-row memo; kept in step
+        #: with every change to a budget's ``used``.
         self.used = np.array([b.used for b in budgets], dtype=np.int64)
-        #: per row, bumped whenever the ``used`` of a budget covering the
-        #: row moves; the legal-start search keys its row caches on it.
+        #: every budget's headroom ``max_used − used``, in ``budgets``
+        #: order, for the legal-start search.
+        self.headroom: List[int] = [b.max_used - b.used for b in budgets]
+        #: per row, bumped whenever the headroom of a budget covering the
+        #: row, clamped at 0, moves: the starts a budget forbids depend on
+        #: nothing else of it.  The legal-start search keys its row caches
+        #: on it.
         self.row_epoch: List[int] = [0] * num_rows
+        #: the position of each budget whose clamped headroom grew, in
+        #: the order it grew (the rows it covers may admit new starts).
+        self.grown: List[int] = []
 
     def __iter__(self) -> Iterator[BlockageBudget]:
         return iter(self.budgets)
@@ -112,7 +139,7 @@ class BudgetSet:
     def row_budgets(self, row: int) -> List[BlockageBudget]:
         """Budgets covering one row."""
         if 0 <= row < len(self.spans):
-            return [b for b, _, _ in self.spans[row]]
+            return [b for b, _, _, _ in self.spans[row]]
         return []
 
     def allows(self, row: int, start: int, width: int) -> bool:
@@ -123,13 +150,11 @@ class BudgetSet:
         """Commit the placement to the covering budgets."""
         for b in self._overlapped(row, start, width):
             b.commit(row, start, width)
-            self._moved(b)
 
     def release(self, row: int, start: int, width: int) -> None:
         """Release a removed placement from the covering budgets."""
         for b in self._overlapped(row, start, width):
             b.release(row, start, width)
-            self._moved(b)
 
     def _overlapped(
         self, row: int, start: int, width: int
@@ -138,14 +163,24 @@ class BudgetSet:
         if not 0 <= row < len(self.spans):
             return []
         end = start + width
-        return [b for b, lo, hi in self.spans[row] if lo < end and start < hi]
+        return [b for b, lo, hi, _ in self.spans[row] if lo < end and start < hi]
 
-    def _moved(self, b: BlockageBudget) -> None:
-        """Mirror ``b``'s new ``used`` and bump the epochs of its rows."""
-        self.used[self.index[id(b)]] = b.used
-        epoch = self.row_epoch
-        for row in b.rows:
-            epoch[row] += 1
+    def _moved(self, b: BlockageBudget, old: int) -> None:
+        """Mirror ``b``'s new ``used``; note a change of its clamped headroom.
+
+        ``old`` is ``b.used`` before the change.
+        """
+        i = self.index[id(b)]
+        self.used[i] = b.used
+        self.headroom[i] = b.max_used - b.used
+        before = max(b.max_used - old, 0)
+        after = max(b.max_used - b.used, 0)
+        if before != after:
+            if after > before:
+                self.grown.append(i)
+            epoch = self.row_epoch
+            for row in b.rows:
+                epoch[row] += 1
 
     def over_budget(self) -> List[BlockageBudget]:
         """All budgets currently above their cap."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import median
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import NetlistError
@@ -60,6 +60,7 @@ def connected_median(layout: Layout, instance_name: str) -> Optional[Point]:
     Returns ``None`` for unconnected cells (e.g. fillers).
 
     Raises:
+        NetlistError: When the netlist has no instance ``instance_name``.
         LayoutError: When a pin on those nets is not placed.
     """
     table = pin_table(layout.netlist)
@@ -82,6 +83,46 @@ def connected_median(layout: Layout, instance_name: str) -> Optional[Point]:
     if not xs:
         return None
     return Point(median(xs), median(ys))
+
+
+class _Medians:
+    """The connected medians one ECO pass asks for, each computed once.
+
+    A cell's median is kept until a pin on one of its nets moves: every
+    net stamps the count of moves when a pin on it last moved, and a
+    median is reused while no net of its cell is stamped later than it.
+    """
+
+    __slots__ = ("layout", "table", "net_moved", "moves", "memo")
+
+    def __init__(self, layout: Layout) -> None:
+        self.layout = layout
+        self.table = pin_table(layout.netlist)
+        #: per net, the move count when a pin on it last moved.
+        self.net_moved = [0] * len(self.table.net_pins)
+        self.moves = 0
+        #: instance → (move count when computed, its median)
+        self.memo: Dict[str, Tuple[int, Optional[Point]]] = {}
+
+    def of(self, name: str) -> Optional[Point]:
+        """:func:`connected_median` of ``name`` on the layout as it is."""
+        hit = self.memo.get(name)
+        if hit is not None:
+            table = self.table
+            net_moved = self.net_moved
+            if all(net_moved[k] <= hit[0]
+                   for k in table.inst_nets[table.index[name]]):
+                return hit[1]
+        m = connected_median(self.layout, name)
+        self.memo[name] = (self.moves, m)
+        return m
+
+    def moved(self, name: str) -> None:
+        """Record that ``name`` moved: the medians over its nets go stale."""
+        self.moves += 1
+        table = self.table
+        for k in table.inst_nets[table.index[name]]:
+            self.net_moved[k] = self.moves
 
 
 def _relocate(
@@ -166,6 +207,7 @@ def _eco_place(
     budgets = build_budgets(layout)
     if not len(budgets):
         return report
+    medians = _Medians(layout)
 
     # Process the most over-budget blockages first.
     order = sorted(
@@ -185,7 +227,7 @@ def _eco_place(
         # Evict cells whose connectivity already pulls them out of the
         # region first: cheapest displacement, least timing impact.
         def pull_distance(n: str) -> float:
-            m = connected_median(layout, n)
+            m = medians.of(n)
             if m is None:
                 return 0.0  # fillers and dangling cells are free to move
             return -budget.blockage.rect.manhattan_distance_to_point(m)
@@ -198,7 +240,7 @@ def _eco_place(
             if failures >= 4:
                 break  # nothing admissible left anywhere near; give up
             width = layout.netlist.instance(name).width_sites
-            median_pt = connected_median(layout, name) or layout.cell_center(name)
+            median_pt = medians.of(name) or layout.cell_center(name)
             target = receiving_target(
                 layout, budgets, budget, name, width, median_pt,
                 attract_point,
@@ -207,6 +249,8 @@ def _eco_place(
             report.relocations += 1
             if moved is None:
                 report.failed_relocations += 1
+            else:
+                medians.moved(name)
             if moved is not None and moved > 0:
                 report.moved.append(name)
                 report.total_displacement_um += moved

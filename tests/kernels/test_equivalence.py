@@ -986,6 +986,73 @@ def test_find_spot_equal(one_design, data):
         _commit_random(budgets, layout, data, i)
 
 
+@settings(max_examples=12, **_FIXTURE_SETTINGS)
+@given(data=st.data())
+def test_find_spot_long_sequence_equal(one_design, data):
+    """Fifty and more searches on one layout age the empty-row memo.
+
+    Each step is one of: a relocation as the ECO placer makes it (lift
+    the cell and release its budgets, search, put it down at the spot
+    found or back where it was, commit), where wide cells, widths past
+    every row and a budget's exact headroom make searches fail; budget
+    counters moving on their own; or a cell leaving the layout with its
+    budgets untouched.  Every search must equal the oracle's.
+    """
+    layout = one_design["layout"].clone()
+    budgets = build_budgets(layout)
+    spare = [
+        i.name
+        for i in one_design["netlist"].instances
+        if not i.is_sequential and layout.is_placed(i.name)
+    ]
+    n_steps = data.draw(st.integers(50, 70), label="steps")
+    for i in range(n_steps):
+        step = data.draw(
+            st.sampled_from(["relocate", "relocate", "relocate", "budgets",
+                             "lift"]),
+            label=f"step{i}",
+        )
+        if step == "budgets":
+            _commit_random(budgets, layout, data, i)
+            continue
+        name = spare[data.draw(st.integers(0, len(spare) - 1), label=f"cell{i}")]
+        if step == "lift":
+            layout.unplace(name)
+            spare.remove(name)
+            continue
+        width = layout.netlist.instance(name).width_sites
+        old = layout.placement(name)
+        layout.unplace(name)
+        budgets.release(old.row, old.start, width)
+        edge = budgets.budgets[
+            data.draw(st.integers(0, len(budgets) - 1), label=f"edge{i}")
+        ]
+        query_width = data.draw(
+            st.one_of(
+                st.sampled_from([
+                    width,
+                    max(edge.max_used - edge.used, 1),
+                    layout.sites_per_row + 1,
+                ]),
+                st.integers(6, 24),  # wide: often nowhere until a lift
+            ),
+            label=f"width{i}",
+        )
+        args = (
+            layout, budgets, query_width,
+            data.draw(st.integers(0, layout.num_rows - 1), label=f"row{i}"),
+            data.draw(st.integers(-5, layout.sites_per_row + 5),
+                      label=f"site{i}"),
+            data.draw(st.sampled_from([0, 1, 2, 12]), label=f"radius{i}"),
+        )
+        spot = find_spot(*args)
+        assert spot == oracle_lg._find_spot(*args), f"step {i}"
+        if spot is None or query_width != width:
+            spot = (old.row, old.start)
+        layout.place(name, *spot)
+        budgets.commit(*spot, width)
+
+
 def _filled_layout(num_rows: int, sites: int, free) -> Layout:
     """Rows full of one-site fillers, except the sites ``free[row]``."""
     netlist = Netlist("spots", nangate45_library())
@@ -1070,6 +1137,44 @@ class TestFindSpotCases:
         budgets = build_budgets(layout)
         _spot_is(layout, budgets, 1, 2, 5, 4, (7, 5))
         _spot_is(layout, budgets, 1, 2, 5, 20, (7, 5))
+
+    def test_a_far_row_that_loosens_leaves_the_empty_row_memo(self):
+        # Width 2 fits nowhere, and the search proves every row empty.
+        # An unrelated filler then leaves row 0, far from the target,
+        # with no budget released: the next search must find its gap.
+        layout = _filled_layout(9, 10, {0: {5}, 4: {1}, 8: {8}})
+        budgets = build_budgets(layout)
+        _spot_is(layout, budgets, 2, 8, 5, 1, None)
+        _spot_is(layout, budgets, 1, 8, 5, 1, (8, 8))
+        layout.unplace("f0_4")
+        _spot_is(layout, budgets, 2, 8, 5, 1, (0, 4))
+        # Filling it again keeps the memo sound the other way round.
+        layout.place("f0_4", 0, 4)
+        _spot_is(layout, budgets, 2, 8, 5, 1, None)
+
+    def test_a_budget_that_regains_headroom_leaves_the_empty_row_memo(self):
+        # A cap of 3 sites over row 1's free sites; filling it straight on
+        # the budget (no BudgetSet call) forbids every start of width 3,
+        # and emptying it the same way must readmit them.
+        layout = _filled_layout(2, 20, {1: set(range(10))})
+        tech = layout.technology
+        layout.add_blockage(
+            PlacementBlockage(
+                "cap", Rect(0.0, tech.row_height, 10 * tech.site_width,
+                            2 * tech.row_height),
+                max_density=0.3,
+            )
+        )
+        budgets = build_budgets(layout)
+        (b,) = budgets.budgets
+        assert (b.max_used, b.used) == (3, 0)
+        _spot_is(layout, budgets, 3, 0, 3, 0, (1, 3))
+        b.used += 3
+        _spot_is(layout, budgets, 3, 0, 3, 0, None)
+        b.release(1, 12, 3)  # off the cap's span: moves nothing
+        _spot_is(layout, budgets, 3, 0, 3, 0, None)
+        b.used -= 3
+        _spot_is(layout, budgets, 3, 0, 3, 0, (1, 3))
 
 
 @settings(max_examples=40, **_FIXTURE_SETTINGS)
