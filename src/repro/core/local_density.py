@@ -26,6 +26,10 @@ from repro.layout.layout import Layout
 from repro.place.eco_place import EcoPlacementReport, eco_place
 from repro.security.assets import SecurityAssets
 
+#: Floor on a tile's density cap, so the sigmoid's left tail cannot
+#: demand a physically absurd full eviction.
+MIN_CAP = 0.05
+
 
 @dataclass
 class LdaReport:
@@ -81,7 +85,6 @@ def asset_density_caps(
     layout: Layout,
     assets: SecurityAssets,
     n: int,
-    smoothing_sigma: Optional[float] = None,
 ) -> np.ndarray:
     """The paper's per-tile density upper bounds (lines 4–9 of Alg. 2).
 
@@ -91,7 +94,9 @@ def asset_density_caps(
     neighborhood, so the whole region around the asset bank may pack
     densely, not just the asset tiles themselves), z-scores them, and
     squashes through a sigmoid.  A zero standard deviation (uniform
-    assets) yields 0.5 everywhere.
+    assets) makes every z-score 0, so every tile gets one cap, which the
+    feasibility bias below sets to the design utilization plus about 3 %
+    (kept within sigmoid(−4) … sigmoid(12) by the bias search).
 
     The map is then *feasibility-biased*: a real tool treats a partial
     blockage as best-effort, but our ECO placer enforces caps as hard
@@ -110,8 +115,7 @@ def asset_density_caps(
         ix = min(int(c.x / tile_w), n - 1)
         iy = min(int(c.y / tile_h), n - 1)
         counts[ix, iy] += 1.0
-    sigma_tiles = smoothing_sigma if smoothing_sigma is not None else max(n / 8.0, 0.8)
-    counts = _gaussian_blur(counts, sigma_tiles)
+    counts = _gaussian_blur(counts, max(n / 8.0, 0.8))
     mu = float(counts.mean())
     sigma = float(counts.std())
     if sigma == 0.0:
@@ -164,7 +168,6 @@ def local_density_adjustment(
     assets: SecurityAssets,
     n: int = 8,
     n_iter: int = 1,
-    min_cap: float = 0.05,
     keep_blockages: bool = False,
     attract_point=None,
 ) -> LdaReport:
@@ -175,8 +178,6 @@ def local_density_adjustment(
         assets: The security-critical cells steering the density map.
         n: Grid dimension (tiles per axis) — ``LDA::N`` of Table I.
         n_iter: Number of blockage/ECO-place cycles — ``LDA::n_iter``.
-        min_cap: Floor on the tile density cap, so the sigmoid's left tail
-            cannot demand a physically absurd full eviction.
         keep_blockages: Leave the last iteration's blockages registered on
             the layout (useful for inspection; the flow clears them).
         attract_point: Override for the asset-attraction point (normally
@@ -211,7 +212,7 @@ def local_density_adjustment(
         caps = asset_density_caps(layout, assets, n)
         for ix in range(n):
             for iy in range(n):
-                cap = max(float(caps[ix, iy]), min_cap)
+                cap = max(float(caps[ix, iy]), MIN_CAP)
                 rect = Rect(
                     ix * tile_w,
                     iy * tile_h,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import NetlistError
@@ -22,6 +22,10 @@ from repro.layout.layout import Layout
 from repro.layout.pins import pin_table
 from repro.place.budget import BudgetSet, build_budgets
 from repro.place.legalize import target_slot
+
+#: Rows above and below a relocation's target row searched before the
+#: search widens to the whole core.
+ROW_SEARCH_RADIUS = 12
 
 
 @dataclass
@@ -161,19 +165,18 @@ def _relocate(
 
 def eco_place(
     layout: Layout,
-    movable: Optional[Set[str]] = None,
-    row_search_radius: int = 12,
     attract_point: Optional[Point] = None,
 ) -> EcoPlacementReport:
     """Resolve all blockage density caps with minimal, WL-driven moves.
+
+    Every placed instance outside ``layout.fixed`` may move; a relocation
+    searches :data:`ROW_SEARCH_RADIUS` rows either side of its target row
+    before the whole core.
 
     Args:
         layout: The layout to mutate in place.  Its registered blockages
             define the density caps; instances in ``layout.fixed`` never
             move.
-        movable: Optional whitelist of movable instances; default is every
-            placed, non-fixed instance.
-        row_search_radius: Row search window for relocation targets.
         attract_point: Optional µm point the density flow should converge
             on: evicted cells fill admissible space closest to it first.
             LDA passes the asset-bank centroid so arrivals consume the
@@ -183,7 +186,7 @@ def eco_place(
         An :class:`EcoPlacementReport`.
     """
     with obs.timed("place.eco"):
-        report = _eco_place(layout, movable, row_search_radius, attract_point)
+        report = _eco_place(layout, attract_point)
     if obs.is_enabled():
         obs.count("place.eco.moved_cells", report.num_moved)
         obs.count("place.eco.relocations", report.relocations)
@@ -199,8 +202,6 @@ def eco_place(
 
 def _eco_place(
     layout: Layout,
-    movable: Optional[Set[str]],
-    row_search_radius: int,
     attract_point: Optional[Point],
 ) -> EcoPlacementReport:
     report = EcoPlacementReport()
@@ -219,11 +220,7 @@ def _eco_place(
         if excess <= 0:
             continue
         inside = layout.instances_in_rect(budget.blockage.rect)
-        candidates = [
-            n
-            for n in inside
-            if n not in layout.fixed and (movable is None or n in movable)
-        ]
+        candidates = [n for n in inside if n not in layout.fixed]
         # Evict cells whose connectivity already pulls them out of the
         # region first: cheapest displacement, least timing impact.
         def pull_distance(n: str) -> float:
@@ -245,7 +242,7 @@ def _eco_place(
                 layout, budgets, budget, name, width, median_pt,
                 attract_point,
             )
-            moved = _relocate(layout, budgets, name, target, row_search_radius)
+            moved = _relocate(layout, budgets, name, target, ROW_SEARCH_RADIUS)
             report.relocations += 1
             if moved is None:
                 report.failed_relocations += 1

@@ -18,19 +18,24 @@ from repro.layout.layout import Layout
 from repro.place.budget import build_budgets
 
 
+#: Rows above and below a cell's target row searched before the search
+#: widens to the whole core.
+ROW_SEARCH_RADIUS = 12
+
+
 def legalize(
     layout: Layout,
     targets: Dict[str, Point],
-    row_search_radius: int = 12,
 ) -> Dict[str, Tuple[int, int]]:
     """Place every instance in ``targets`` near its desired µm position.
+
+    Each cell searches :data:`ROW_SEARCH_RADIUS` rows either side of its
+    target row before the whole core.
 
     Args:
         layout: Target layout.  Instances in ``targets`` must be unplaced;
             everything already placed is treated as an obstacle.
         targets: Instance name → desired position (cell centre, µm).
-        row_search_radius: How many rows above/below the target row to try
-            before giving up widens to the whole core.
 
     Returns:
         Instance name → ``(row, start_site)`` chosen.
@@ -45,7 +50,7 @@ def legalize(
         width = layout.netlist.instance(name).width_sites
         target_row, target_site = target_slot(layout, targets[name], width)
         placed = find_spot(
-            layout, budgets, width, target_row, target_site, row_search_radius
+            layout, budgets, width, target_row, target_site, ROW_SEARCH_RADIUS
         )
         if placed is None:
             raise PlacementError(f"no legal position for {name!r}")
