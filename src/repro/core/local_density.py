@@ -133,9 +133,13 @@ def asset_density_caps(
     util = layout.utilization()
     needed = util * 1.03
 
+    # Tiles with equal z-scores share their cap: the sigmoid runs once
+    # per distinct z-score, and the map gathers the caps back per tile.
+    distinct, tile = np.unique(z.ravel(), return_inverse=True)
+
     def sigmoid_map(bias: float) -> np.ndarray:
-        caps = map(_sigmoid, (gain * z + bias).ravel().tolist())
-        return np.array(list(caps)).reshape(z.shape)
+        caps = map(_sigmoid, (gain * distinct + bias).tolist())
+        return np.array(list(caps))[tile].reshape(z.shape)
 
     bias_lo, bias_hi = -4.0, 12.0
     for _ in range(48):

@@ -41,6 +41,7 @@ from repro.core.cell_shift import (
     _simulate_plan,
     cell_shift,
 )
+from repro.core.local_density import asset_density_caps
 from repro.errors import LayoutError
 from repro.geometry import Point, Rect
 from repro.kernels import routegrid as rk
@@ -1284,6 +1285,15 @@ def test_density_map_equal(data):
     nx = data.draw(st.integers(1, 9), label="nx")
     ny = data.draw(st.integers(1, 9), label="ny")
     _density_is_oracle(_density_layout(num_rows, sites, cells), nx, ny)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+def test_asset_density_caps_equal(design, n):
+    """LDA's caps map against the per-tile vectorized sigmoid, bitwise."""
+    layout, assets = design["layout"], design["assets"]
+    kernel = asset_density_caps(layout, assets, n)
+    assert kernel.tobytes() == oracle_dm.asset_density_caps(
+        layout, assets, n).tobytes()
 
 
 class TestDensityMapCases:

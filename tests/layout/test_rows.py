@@ -10,6 +10,7 @@ from repro.layout.rows import CoreRow, RowOccupancy
 from repro.netlist.netlist import Netlist
 from repro.tech.library import nangate45_library
 from repro.tech.technology import nangate45_like
+from tests.oracles import legalize as oracle_lg
 
 
 @pytest.fixture()
@@ -201,3 +202,39 @@ def test_property_no_overlap_after_any_placement_sequence(ops):
     assert not list(row.findings())
     assert row.used_sites() == placed
     assert sum(len(g) for g in row.free_intervals()) == 50 - placed
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["place", "remove", "move", "rewrite", "copy"]),
+            st.integers(0, 49),
+            st.integers(1, 6),
+        ),
+        max_size=40,
+    )
+)
+def test_property_free_bits_follow_every_mutation(ops):
+    """``free`` equals the free sites read off the cells after each edit."""
+    row = RowOccupancy(CoreRow(index=0, origin_x=0.0, y=0.0, num_sites=50))
+    for k, (op, site, width) in enumerate(ops):
+        names = [p.name for p in row]
+        if op == "place" and row.can_place(site, width):
+            row.place(f"c{k}", site, width)
+        elif op == "remove" and names:
+            row.remove(names[site % len(names)])
+        elif op == "move" and names:
+            try:
+                row.move(names[width % len(names)], site)
+            except LayoutError:
+                pass  # a rejected move leaves the row as it was
+        elif op == "rewrite" and names:
+            # Pack the cells to the left, then shift them by ``width``.
+            starts, end = [], min(width, 50 - row.used_sites())
+            for p in row:
+                starts.append(end)
+                end += p.width
+            row.rewrite(starts)
+        elif op == "copy":
+            row = row.copy()
+        assert row.free == oracle_lg._row_free_bits(row)

@@ -1,5 +1,7 @@
 """Scalar oracles for the legalizer position search and the ECO target scan.
 
+``_row_free_bits`` reads a row's free sites off its cells.
+
 ``_best_start_in_row`` enumerates a row's free gaps, subtracts the
 starts a blockage budget forbids by interval algebra, and clamps the
 target into each surviving piece.  ``_try_rows_outward`` asks it row by
@@ -17,7 +19,20 @@ from typing import List, Optional, Tuple
 
 from repro.geometry import Interval, Point, merge_intervals, subtract_intervals
 from repro.layout.layout import Layout
+from repro.layout.rows import RowOccupancy
 from repro.place.budget import BlockageBudget, BudgetSet
+
+
+def _row_free_bits(occ: RowOccupancy) -> int:
+    """The row's free sites as an int, rebuilt from its cells.
+
+    ``RowOccupancy.free`` keeps the same int current through every
+    mutation.
+    """
+    taken = 0
+    for p in occ:
+        taken |= ((1 << p.width) - 1) << p.start
+    return ((1 << occ.row.num_sites) - 1) & ~taken
 
 
 def _forbidden_starts(

@@ -14,6 +14,7 @@ import perf_gate  # noqa: E402
 from perf_gate import (  # noqa: E402
     LAYER_BOUND,
     LAYER_SHARE,
+    TRACED,
     compare,
     workload_record,
 )
@@ -208,15 +209,66 @@ def test_workload_record_takes_medians_and_counts_every_run():
          "peak_rss_mb": 80.0}
         for v in (0.5, 0.4, 0.6)
     ]
-    traced = {"attempted": 10, "failed": 1, "host.cal_ms": 20.0,
-              **LEDGER}
+    traced = [
+        {"attempted": 10, "failed": failed, "host.cal_ms": cal, **LEDGER}
+        for failed, cal in ((1, 20.0), (0, 22.0), (0, 21.0))
+    ]
     rec = workload_record(runs, traced, METRICS)
     assert rec["medians"] == pytest.approx(
         {"ops_per_s": 0.5, "setup_s": 1.0, "peak_rss_mb": 80.0}
     )
-    assert (rec["attempted"], rec["failed"]) == (40, 1)
-    assert rec["ledger"] is traced
-    assert rec["host.cal_ms"] == 20.0
+    assert (rec["attempted"], rec["failed"]) == (60, 1)
+    assert rec["ledgers"] is traced
+    assert rec["host.cal_ms"] == 21.0
+
+
+def traced_record(place_ms, calls=(16, 16, 16)):
+    """A record whose harden_suite ran traced once per ``place_ms`` value."""
+    rec = record()
+    traced = [
+        {"attempted": 16, "failed": 0, "host.cal_ms": 20.0, **LEDGER,
+         "core.place_op.self_ms": ms, "core.place_op.calls": n}
+        for ms, n in zip(place_ms, calls)
+    ]
+    rec["workloads"]["harden_suite"] = workload_record(
+        [{"attempted": 40, "failed": 0, "ops_per_s": 1.0, "setup_s": 2.0,
+          "peak_rss_mb": 100.0}], traced, METRICS)
+    return rec
+
+
+class TestTracedMedian:
+    """Layers are gated on the median of each side's traced runs."""
+
+    def test_the_gate_runs_three_traced_runs_per_side(self):
+        assert TRACED == 3
+
+    def test_the_median_picks_the_middle_run(self):
+        rec = traced_record([100.0, 300.0, 200.0])
+        ledger = rec["workloads"]["harden_suite"]["ledger"]
+        assert ledger["core.place_op.self_ms"] == 200.0
+        assert len(rec["workloads"]["harden_suite"]["ledgers"]) == 3
+
+    def test_one_outlier_run_does_not_fail(self):
+        base = traced_record([150.0, 150.0, 150.0])
+        head = traced_record([150.0, 150.0 * (1.0 + 2 * LAYER_BOUND), 150.0])
+        assert failures(head, base) == []
+
+    def test_a_slowdown_in_every_run_still_fails(self):
+        base = traced_record([150.0, 150.0, 150.0])
+        slow = 150.0 * (1.0 + LAYER_BOUND) + 1.0
+        head = traced_record([slow, slow + 5.0, slow - 0.5])
+        (fail,) = failures(head, base)
+        assert (fail.workload, fail.subject) == ("harden_suite",
+                                                 "layer core.place_op")
+
+    def test_calls_that_differ_across_a_sides_runs_fail(self):
+        base = traced_record([150.0, 150.0, 150.0])
+        head = traced_record([150.0, 150.0, 150.0], calls=(16, 16, 17))
+        (fail,) = failures(head, base)
+        assert (fail.workload, fail.subject) == ("harden_suite",
+                                                 "layer core.place_op")
+        assert "head calls differ across traced runs: [16, 16, 17]" in str(
+            fail)
 
 
 class TestPrecompile:

@@ -9,9 +9,10 @@ BASE_DIR and HEAD_DIR are git checkouts of the base commit and of the
 change; each runs its own ``perfbench/run.py``, which imports its own
 ``src/``.  Workloads, run length and bounds come from the base's
 ``BENCHMARK.json``, so a change cannot loosen its gate.  Per workload
-the gate runs :data:`PAIRS` alternating ``--trace 0`` pairs, then one
-``--trace 1`` run per side, writes ``BENCH_<rev>.json`` per side into
-DIR, and exits 1 when a run crashes or a check of :func:`compare` fails.
+the gate runs :data:`PAIRS` alternating ``--trace 0`` pairs, then
+:data:`TRACED` alternating ``--trace 1`` pairs, writes
+``BENCH_<rev>.json`` per side into DIR, and exits 1 when a run crashes
+or a check of :func:`compare` fails.
 Before a side's first run the gate byte-compiles that checkout's
 ``src`` (:func:`precompile`), so no run pays for compiling the program.
 """
@@ -30,19 +31,18 @@ from typing import Dict, Iterator, List, NamedTuple, Optional
 #: Alternating untraced (base, head) pairs per workload.
 PAIRS = 3
 
+#: Alternating traced (base, head) pairs per workload.  A layer is gated
+#: on the median of its side's traced self times.
+TRACED = 3
+
 #: Workload seed of every run.
 SEED = 1
 
 #: A layer is gated when it holds at least this share of base traced wall.
 LAYER_SHARE = 0.05
 
-#: Largest relative ``self_ms`` slowdown a gated layer may show.  Five
-#: ``--trace 1`` runs of identical code per workload (seed 1, 20 s, shared
-#: 2-vCPU x86 host) spread the ``self_ms`` of every layer that held >= 5%
-#: of wall in some run by at most (max / min - 1): explore_aes1 route 6.8%,
-#: place_op 13.8%, sta_incr 12.8%; harden_suite route 3.4%, place_op 4.8%,
-#: sta_incr 16.7%; attack_aes1 sta_full 5.1%, implant 14.1%, scan_full
-#: 3.4%, trojan 4.5%.  The bound is 1.5x the largest, for one pair of runs.
+#: Largest relative slowdown of a gated layer's median ``self_ms``.
+#: CALIBRATION
 LAYER_BOUND = 0.25
 
 
@@ -59,10 +59,27 @@ class Check(NamedTuple):
         return f"{verdict}  {self.workload}: {self.subject}: {self.detail}"
 
 
+def _calls_checks(workload: str, side: str,
+                  ledgers: List[dict]) -> Iterator[Check]:
+    """One failed check per layer whose call count differs between runs.
+
+    A traced run times one fixed region, so every layer's ``.calls`` is
+    an exact count that each run of a side must reproduce.
+    """
+    for key in sorted(ledgers[0]):
+        if key.endswith(".calls"):
+            counts = [ledger.get(key) for ledger in ledgers]
+            if len(set(counts)) > 1:
+                yield Check(workload, f"layer {key.removesuffix('.calls')}",
+                            f"{side} calls differ across traced runs: "
+                            f"{counts}", True)
+
+
 def _layer_checks(workload: str, base: dict, head: dict) -> Iterator[Check]:
     """Layers' self times sum to ``1 - unattributed_share`` of wall.
 
-    A gated layer that base calls and head never calls fails: its self
+    ``base`` and ``head`` are median ledgers (:func:`median_ledger`).  A
+    gated layer that base calls and head never calls fails: its self
     time reads 0.0 in head, which is no measurement of the work moved
     elsewhere.
     """
@@ -94,9 +111,10 @@ def compare(base: dict, head: dict, benchmark: dict) -> List[Check]:
     """Every check of head against base; the gate fails if any failed.
 
     Per workload: each end-to-end median against its ``BENCHMARK.json``
-    bound, the share of failed operations against base's, and each
-    layer holding at least LAYER_SHARE of base traced wall against
-    LAYER_BOUND.  A workload missing from either record fails.
+    bound, the share of failed operations against base's, each layer's
+    call count across a side's traced runs, and each layer holding at
+    least LAYER_SHARE of base traced wall against LAYER_BOUND, on the
+    median ledgers.  A workload missing from either record fails.
     """
     checks: List[Check] = []
     for workload in (w["name"] for w in benchmark["workloads"]):
@@ -123,21 +141,38 @@ def compare(base: dict, head: dict, benchmark: dict) -> List[Check]:
             f"{h['failed']}/{h['attempted']}",
             h["failed"] / h["attempted"] > b["failed"] / b["attempted"],
         ))
+        for side, rec in (("base", b), ("head", h)):
+            checks.extend(_calls_checks(workload, side,
+                                        rec.get("ledgers", [rec["ledger"]])))
         checks.extend(_layer_checks(workload, b["ledger"], h["ledger"]))
     return checks
 
 
-def workload_record(runs: List[dict], traced: dict,
+def median_ledger(ledgers: List[dict]) -> dict:
+    """Every key's median over a side's traced ledgers.
+
+    With an odd number of runs each median is one run's value.
+    """
+    return {key: statistics.median(ledger[key] for ledger in ledgers)
+            for key in ledgers[0]}
+
+
+def workload_record(runs: List[dict], traced: List[dict],
                     metrics: List[str]) -> dict:
-    """One side's record of one workload: its runs and what they sum to."""
+    """One side's record of one workload: its runs and what they sum to.
+
+    ``ledgers`` keeps every traced run; ``ledger`` is their median.
+    """
+    ledger = median_ledger(traced)
     return {
         "runs": runs,
         "medians": {m: statistics.median(r[m] for r in runs)
                     for m in metrics},
-        "attempted": sum(r["attempted"] for r in runs + [traced]),
-        "failed": sum(r["failed"] for r in runs + [traced]),
-        "ledger": traced,
-        "host.cal_ms": traced["host.cal_ms"],
+        "attempted": sum(r["attempted"] for r in runs + traced),
+        "failed": sum(r["failed"] for r in runs + traced),
+        "ledgers": traced,
+        "ledger": ledger,
+        "host.cal_ms": ledger["host.cal_ms"],
     }
 
 
@@ -201,12 +236,19 @@ def measure(checkouts: Dict[str, Path], revs: Dict[str, str],
                                               for s in checkouts}
     for checkout in checkouts.values():
         precompile(checkout, benchmark["command"])
+    traced: Dict[str, Dict[str, List[dict]]] = {
+        s: {w: [] for w in names} for s in checkouts
+    }
     for i in range(PAIRS):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for workload in names:
             for side in order:
                 runs[side][workload].append(run(side, workload, 0))
-    traced = {s: {w: run(s, w, 1) for w in names} for s in checkouts}
+    for i in range(TRACED):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        for workload in names:
+            for side in order:
+                traced[side][workload].append(run(side, workload, 1))
     return {
         side: {
             "rev": revs[side],
