@@ -41,8 +41,17 @@ SEED = 1
 #: A layer is gated when it holds at least this share of base traced wall.
 LAYER_SHARE = 0.05
 
-#: Largest relative slowdown of a gated layer's median ``self_ms``.
-#: CALIBRATION
+#: Largest relative slowdown of a gated layer's median ``self_ms``.  Five
+#: ``--trace 1`` runs per workload of one commit (2f40ebf; seed 1, 20 s,
+#: shared 2-vCPU x86 host) spread the ``self_ms`` of every layer that
+#: held >= 5% of wall in some run by up to 69% between single runs
+#: (max / min - 1): attack_aes1 checkpoint 69.3%, attempt 14.5%, trojan
+#: 18.7%, scan_full 12.1%; harden_suite guard_init 28.3%, place_op 25.7%,
+#: route 15.4%; explore_aes1 route 19.7%, place_op 5.7%.  The medians of
+#: any three of those runs spread by at most 11.4% (harden_suite
+#: guard_init; then explore_aes1 route 8.0% and attack_aes1 attempt
+#: 7.7%), so the bound is about twice the largest, for the median of
+#: three runs per side.
 LAYER_BOUND = 0.25
 
 
