@@ -129,7 +129,7 @@ def _exploitable_sites(layout: Layout, thresh_er: int) -> int:
 #: The free gaps of the row below, sorted and disjoint, as three parallel
 #: lists: starts, ends and the weight of each gap's component.  The
 #: planner merges components by rewriting the weights in place.
-Below = Tuple[List[int], List[int], List[int]]
+_Below = Tuple[List[int], List[int], List[int]]
 
 
 class _IncrementalBelow:
@@ -190,7 +190,7 @@ class _IncrementalBelow:
                 j += 1
         self.prev = cur
 
-    def below_gaps(self) -> Below:
+    def below_gaps(self) -> _Below:
         """The last added row's gaps with their component weights."""
         prev = self.prev
         return (
@@ -258,7 +258,7 @@ def _dp_gap_layout(
     seg_lo: int,
     seg_hi: int,
     widths: List[int],
-    below: Below,
+    below: _Below,
     quota: int,
     gap_cap: Optional[int] = None,
 ) -> Optional[List[int]]:
@@ -347,7 +347,7 @@ def _simulate_plan(
     p_hi: int,
     widths: List[int],
     proposed: Optional[List[int]],
-    below: Below,
+    below: _Below,
     quota: int,
     gap_cap: Optional[int] = None,
 ) -> tuple:
@@ -436,7 +436,7 @@ def _plan_gaps(
     p_lo: int,
     p_hi: int,
     widths: List[int],
-    below: Below,
+    below: _Below,
     quota: int,
     gap_cap: Optional[int],
 ) -> List[int]:

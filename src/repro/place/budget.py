@@ -13,6 +13,7 @@ budget's rows.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -33,8 +34,9 @@ class BlockageBudget:
         capacity = sum(len(iv) for iv in self._spans.values())
         self.capacity = capacity
         self.max_used = int(capacity * blockage.max_density)
-        #: the sets holding this budget, told of every change to ``used``.
-        self._sets: List["BudgetSet"] = []
+        #: the sets holding this budget (weakly, so a set is freed when
+        #: its last user drops it), told of every change to ``used``.
+        self._sets: List["weakref.ref[BudgetSet]"] = []
         # Occupied sites of a span = its length minus its free sites,
         # counted in the row's free-site bitset.
         self._used = 0
@@ -51,8 +53,10 @@ class BlockageBudget:
     @used.setter
     def used(self, value: int) -> None:
         old, self._used = self._used, value
-        for budgets in self._sets:
-            budgets._moved(self, old)
+        for ref in self._sets:
+            budgets = ref()
+            if budgets is not None:
+                budgets._moved(self, old)
 
     @property
     def rows(self) -> Iterator[int]:
@@ -113,10 +117,10 @@ class BudgetSet:
         #: budget id → its position in ``budgets``.
         self.index: Dict[int, int] = {id(b): i for i, b in enumerate(budgets)}
         for b in budgets:
-            b._sets.append(self)
+            b._sets.append(weakref.ref(self))
         #: every budget's ``used``, in ``budgets`` order, for the
-        #: receiving-target scan and the empty-row memo; kept in step
-        #: with every change to a budget's ``used``.
+        #: receiving-target scan; kept in step with every change to a
+        #: budget's ``used``.
         self.used = np.array([b.used for b in budgets], dtype=np.int64)
         #: every budget's headroom ``max_used − used``, in ``budgets``
         #: order, for the legal-start search.

@@ -21,11 +21,7 @@ from repro.kernels.legalize import find_spot, receiving_target
 from repro.layout.layout import Layout
 from repro.layout.pins import pin_table
 from repro.place.budget import BudgetSet, build_budgets
-from repro.place.legalize import target_slot
-
-#: Rows above and below a relocation's target row searched before the
-#: search widens to the whole core.
-ROW_SEARCH_RADIUS = 12
+from repro.place.legalize import ROW_SEARCH_RADIUS, target_slot
 
 
 @dataclass
@@ -170,8 +166,8 @@ def eco_place(
     """Resolve all blockage density caps with minimal, WL-driven moves.
 
     Every placed instance outside ``layout.fixed`` may move; a relocation
-    searches :data:`ROW_SEARCH_RADIUS` rows either side of its target row
-    before the whole core.
+    searches :data:`~repro.place.legalize.ROW_SEARCH_RADIUS` rows either
+    side of its target row before the whole core.
 
     Args:
         layout: The layout to mutate in place.  Its registered blockages

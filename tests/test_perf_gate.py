@@ -239,8 +239,29 @@ def traced_record(place_ms, calls=(16, 16, 16)):
 class TestTracedMedian:
     """Layers are gated on the median of each side's traced runs."""
 
-    def test_the_gate_runs_three_traced_runs_per_side(self):
+    def test_traced_runs_alternate_and_every_ledger_is_kept(
+        self, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(perf_gate, "precompile", lambda *args: None)
+
+        def run_bench(checkout, command, workload, seconds, trace, label):
+            if trace:
+                calls.append(str(checkout))
+            return {"attempted": 1, "failed": 0, "host.cal_ms": 1.0,
+                    **{m: 1.0 for m in METRICS}, **LEDGER}
+
+        monkeypatch.setattr(perf_gate, "run_bench", run_bench)
+        records = perf_gate.measure(
+            {"base": Path("base"), "head": Path("head")},
+            {"base": "b", "head": "h"},
+            {**BENCHMARK, "workloads": BENCHMARK["workloads"][:1]},
+        )
         assert TRACED == 3
+        assert calls == ["base", "head", "head", "base", "base", "head"]
+        for record in records.values():
+            (rec,) = record["workloads"].values()
+            assert len(rec["ledgers"]) == TRACED
 
     def test_the_median_picks_the_middle_run(self):
         rec = traced_record([100.0, 300.0, 200.0])
