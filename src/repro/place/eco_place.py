@@ -91,6 +91,8 @@ class _Medians:
     A cell's median is kept until a pin on one of its nets moves: every
     net stamps the count of moves when a pin on it last moved, and a
     median is reused while no net of its cell is stamped later than it.
+    The pass clears the memo at each blockage, so it holds one
+    blockage's candidates at a time.
     """
 
     __slots__ = ("layout", "table", "net_moved", "moves", "memo")
@@ -215,6 +217,7 @@ def _eco_place(
         excess = budget.used - budget.max_used
         if excess <= 0:
             continue
+        medians.memo.clear()
         inside = layout.instances_in_rect(budget.blockage.rect)
         candidates = [n for n in inside if n not in layout.fixed]
         # Evict cells whose connectivity already pulls them out of the
