@@ -11,7 +11,6 @@ wirelength (and hence timing) impact stays small — the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -63,15 +62,41 @@ def connected_median(layout: Layout, instance_name: str) -> Optional[Point]:
         NetlistError: When the netlist has no instance ``instance_name``.
         LayoutError: When a pin on those nets is not placed.
     """
-    table = pin_table(layout.netlist)
-    try:
-        nets = table.inst_nets[table.index[instance_name]]
-    except KeyError:
-        raise NetlistError(f"unknown instance {instance_name!r}") from None
-    net_pins = table.net_pins
-    xs, ys = layout.centers_of([i for k in nets for i in net_pins[k]])
-    ports = layout.port_positions
-    for k in nets:
+    return _Medians(layout).of(instance_name)
+
+
+class _Medians:
+    """Connected medians read off per-net sorted pin coordinates.
+
+    Each net's pin x and y, its positioned ports included, are gathered
+    and sorted once and kept until a pin on the net moves (:meth:`moved`
+    stamps the net with the count of moves so far).  A cell's median
+    joins the sorted lists of its distinct nets and sorts the join, which
+    merges sorted runs, so a clock net's hundreds of pins are gathered
+    and sorted once per pass instead of once per flip-flop.  The values
+    at each rank are those of one sort of the whole multiset, so every
+    median is bitwise the one :func:`statistics.median` takes of it.
+    """
+
+    __slots__ = ("layout", "table", "net_moved", "moves", "nets")
+
+    def __init__(self, layout: Layout) -> None:
+        self.layout = layout
+        self.table = pin_table(layout.netlist)
+        #: net → the move count when a pin on it last moved.
+        self.net_moved: Dict[int, int] = {}
+        self.moves = 0
+        #: net → (move count when gathered, sorted xs, sorted ys)
+        self.nets: Dict[int, Tuple[int, List[float], List[float]]] = {}
+
+    def _net(self, k: int) -> Tuple[int, List[float], List[float]]:
+        """Sorted x and y of net ``k``'s pins and positioned ports."""
+        hit = self.nets.get(k)
+        if hit is not None and hit[0] >= self.net_moved.get(k, 0):
+            return hit
+        table = self.table
+        xs, ys = self.layout.centers_of(table.net_pins[k])
+        ports = self.layout.port_positions
         driver_port = table.net_driver_port[k]
         if driver_port is not None and driver_port in ports:
             xs.append(ports[driver_port].x)
@@ -80,47 +105,37 @@ def connected_median(layout: Layout, instance_name: str) -> Optional[Point]:
             if port in ports:
                 xs.append(ports[port].x)
                 ys.append(ports[port].y)
-    if not xs:
-        return None
-    return Point(median(xs), median(ys))
-
-
-class _Medians:
-    """The connected medians one ECO pass asks for, each computed once.
-
-    A cell's median is kept until a pin on one of its nets moves: every
-    net stamps the count of moves when a pin on it last moved, and a
-    median is reused while no net of its cell is stamped later than it.
-    The pass clears the memo at each blockage, so it holds one
-    blockage's candidates at a time.
-    """
-
-    __slots__ = ("layout", "table", "net_moved", "moves", "memo")
-
-    def __init__(self, layout: Layout) -> None:
-        self.layout = layout
-        self.table = pin_table(layout.netlist)
-        #: per net, the move count when a pin on it last moved.
-        self.net_moved = [0] * len(self.table.net_pins)
-        self.moves = 0
-        #: instance → (move count when computed, its median)
-        self.memo: Dict[str, Tuple[int, Optional[Point]]] = {}
+        xs.sort()
+        ys.sort()
+        hit = self.nets[k] = (self.moves, xs, ys)
+        return hit
 
     def of(self, name: str) -> Optional[Point]:
         """:func:`connected_median` of ``name`` on the layout as it is."""
-        hit = self.memo.get(name)
-        if hit is not None:
-            table = self.table
-            net_moved = self.net_moved
-            if all(net_moved[k] <= hit[0]
-                   for k in table.inst_nets[table.index[name]]):
-                return hit[1]
-        m = connected_median(self.layout, name)
-        self.memo[name] = (self.moves, m)
-        return m
+        table = self.table
+        try:
+            nets = table.inst_nets[table.index[name]]
+        except KeyError:
+            raise NetlistError(f"unknown instance {name!r}") from None
+        xs: List[float] = []
+        ys: List[float] = []
+        for k in nets:
+            _, net_xs, net_ys = self._net(k)
+            xs += net_xs
+            ys += net_ys
+        n = len(xs)
+        if not n:
+            return None
+        if len(nets) > 1:
+            xs.sort()
+            ys.sort()
+        i = n // 2
+        if n % 2:
+            return Point(xs[i], ys[i])
+        return Point((xs[i - 1] + xs[i]) / 2, (ys[i - 1] + ys[i]) / 2)
 
     def moved(self, name: str) -> None:
-        """Record that ``name`` moved: the medians over its nets go stale."""
+        """Record that ``name`` moved: the lists of its nets go stale."""
         self.moves += 1
         table = self.table
         for k in table.inst_nets[table.index[name]]:
@@ -217,7 +232,6 @@ def _eco_place(
         excess = budget.used - budget.max_used
         if excess <= 0:
             continue
-        medians.memo.clear()
         inside = layout.instances_in_rect(budget.blockage.rect)
         candidates = [n for n in inside if n not in layout.fixed]
         # Evict cells whose connectivity already pulls them out of the

@@ -398,7 +398,7 @@ def refine_wirelength(
     Returns:
         Total number of moves performed.
     """
-    from repro.place.eco_place import _relocate, connected_median
+    from repro.place.eco_place import _Medians, _relocate
 
     no_budgets = BudgetSet([], layout.num_rows)
     moves = 0
@@ -407,8 +407,9 @@ def refine_wirelength(
         names = [n for n in list(layout.placements) if n not in layout.fixed]
         # Worst-displaced first: they free up space for the rest.
         scored = []
+        medians = _Medians(layout)
         for name in names:
-            m = connected_median(layout, name)
+            m = medians.of(name)
             if m is None:
                 continue
             d = layout.cell_center(name).manhattan_distance(m)

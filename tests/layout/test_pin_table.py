@@ -21,7 +21,7 @@ from repro.geometry import Point
 from repro.layout.layout import Layout
 from repro.layout.pins import pin_table
 from repro.netlist.netlist import Netlist, PortDirection
-from repro.place.eco_place import connected_median
+from repro.place.eco_place import _Medians, connected_median
 from repro.place.fillers import insert_fillers
 from repro.place.global_place import GlobalPlacementSpec, global_place
 from repro.security.assets import annotate_key_assets
@@ -128,6 +128,33 @@ def test_random_mutations_keep_slots_and_reads_equal(seed, data):
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
         layout = _step(layout, data, names)
         assert_matches_oracle(layout)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.sampled_from(SEEDS), data=st.data())
+def test_pass_medians_follow_the_moves_they_are_told_of(seed, data):
+    """One ECO pass's median memo against the oracle across cell moves.
+
+    The memo keeps each net's sorted pin coordinates until it is told
+    that a cell on the net moved; after every move, every cell's median
+    must equal the oracle's on the layout as it is.
+    """
+    layout = _base(seed).clone()
+    names = layout.netlist.instance_names()
+    medians = _Medians(layout)
+    for name in names:
+        assert medians.of(name) == oracle.connected_median(layout, name)
+    for _ in range(data.draw(st.integers(1, 12), label="moves")):
+        name = data.draw(st.sampled_from(names), label="instance")
+        width = layout.netlist.instance(name).width_sites
+        row = data.draw(st.integers(0, layout.num_rows - 1), label="row")
+        try:
+            layout.move_to(name, row, _free_start(layout, row, width, data))
+        except LayoutError:
+            continue
+        medians.moved(name)
+        for other in names:
+            assert medians.of(other) == oracle.connected_median(layout, other)
 
 
 def test_benchmark_design_matches_oracle(present_design):
