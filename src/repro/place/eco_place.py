@@ -73,9 +73,11 @@ class _Medians:
     stamps the net with the count of moves so far).  A cell's median
     joins the sorted lists of its distinct nets and sorts the join, which
     merges sorted runs, so a clock net's hundreds of pins are gathered
-    and sorted once per pass instead of once per flip-flop.  The values
-    at each rank are those of one sort of the whole multiset, so every
-    median is bitwise the one :func:`statistics.median` takes of it.
+    and sorted once per blockage instead of once per flip-flop.  The
+    values at each rank are those of one sort of the whole multiset, so
+    every median is bitwise the one :func:`statistics.median` takes of
+    it.  The ECO pass clears :attr:`nets` at each blockage, so the memo
+    holds the nets of one blockage's candidates at a time.
     """
 
     __slots__ = ("layout", "table", "net_moved", "moves", "nets")
@@ -232,6 +234,7 @@ def _eco_place(
         excess = budget.used - budget.max_used
         if excess <= 0:
             continue
+        medians.nets.clear()
         inside = layout.instances_in_rect(budget.blockage.rect)
         candidates = [n for n in inside if n not in layout.fixed]
         # Evict cells whose connectivity already pulls them out of the
