@@ -85,8 +85,8 @@ class _Medians:
     def __init__(self, layout: Layout) -> None:
         self.layout = layout
         self.table = pin_table(layout.netlist)
-        #: net → the move count when a pin on it last moved.
-        self.net_moved: Dict[int, int] = {}
+        #: per net, the move count when a pin on it last moved.
+        self.net_moved = [0] * len(self.table.net_pins)
         self.moves = 0
         #: net → (move count when gathered, sorted xs, sorted ys)
         self.nets: Dict[int, Tuple[int, List[float], List[float]]] = {}
@@ -94,7 +94,7 @@ class _Medians:
     def _net(self, k: int) -> Tuple[int, List[float], List[float]]:
         """Sorted x and y of net ``k``'s pins and positioned ports."""
         hit = self.nets.get(k)
-        if hit is not None and hit[0] >= self.net_moved.get(k, 0):
+        if hit is not None and hit[0] >= self.net_moved[k]:
             return hit
         table = self.table
         xs, ys = self.layout.centers_of(table.net_pins[k])
