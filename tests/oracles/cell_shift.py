@@ -8,10 +8,11 @@ reached state of every cell one at a time.  The production planner in
 :mod:`repro.core.cell_shift` must return the same plans, leftovers and
 below weights.
 
-``_IncrementalBelow`` grows one union-find over rows ``0..r`` as the
-re-space finalizes them.  :func:`_below_weights` rebuilds the whole gap
-graph of those rows from scratch and reads each gap's component weight
-off it.
+The re-space grows one gap graph over rows ``0..r`` as it finalizes
+them.  :func:`_below_weights` rebuilds the whole gap graph of those rows
+from scratch, with the batch copy in :mod:`tests.oracles.gaps`, and
+reads each gap's component weight off it; :func:`_graph_upto` and
+:func:`_exploitable_sites` build the same copy.
 
 :func:`cell_shift` is the ``"respace"`` strategy written as mutations of
 layouts: a clone of the untouched layout, one clone per direction policy,
@@ -26,14 +27,32 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.cell_shift import (
-    CellShiftReport,
-    _exploitable_sites,
-    _graph_upto,
-)
+from repro.core.cell_shift import CellShiftReport
 from repro.errors import FlowError
 from repro.layout.layout import Layout
 from repro.security.exploitable import find_exploitable_regions
+
+from tests.oracles.gaps import GapGraph
+
+
+def _gap_graph(layout: Layout) -> GapGraph:
+    """The gap graph over the whole core."""
+    return GapGraph.from_free_intervals(layout.free_intervals_per_row())
+
+
+def _graph_upto(layout: Layout, last_row: int) -> GapGraph:
+    """Gap graph over rows ``0..last_row`` inclusive."""
+    intervals = [
+        layout.occupancy[r].free_intervals() for r in range(last_row + 1)
+    ]
+    return GapGraph.from_free_intervals(intervals)
+
+
+def _exploitable_sites(layout: Layout, thresh_er: int) -> int:
+    """Total free sites inside exploitable-weight components."""
+    return sum(
+        c.weight for c in _gap_graph(layout).exploitable_components(thresh_er)
+    )
 
 
 class _BelowGap:
@@ -340,7 +359,7 @@ def cell_shift(
         raise FlowError("thresh_er must be >= 1")
     report = CellShiftReport()
     report.regions_before = len(
-        layout.gap_graph().exploitable_components(thresh_er)
+        _gap_graph(layout).exploitable_components(thresh_er)
     )
 
     def score(trial: Layout) -> float:
@@ -372,6 +391,6 @@ def cell_shift(
     report.moves = winner_report.moves
     report.shifted_sites = winner_report.shifted_sites
     report.regions_after = len(
-        layout.gap_graph().exploitable_components(thresh_er)
+        _gap_graph(layout).exploitable_components(thresh_er)
     )
     return report
