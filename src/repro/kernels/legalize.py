@@ -186,11 +186,12 @@ class _BudgetTables:
     ) -> int:
         """Bitset of the starts in ``occ``'s row legal for ``width``.
 
-        A budget with headroom ``h < width`` over row span ``[lo, hi)``
-        forbids exactly the starts whose overlap with the span exceeds
-        ``h``: ``start ∈ [lo − width + h + 1, hi − h)``.  Over-budget
-        regions (``h < 0``) still admit zero-overlap placements, so ``h``
-        is clamped at 0.
+        A budget with headroom ``h`` over row span ``[lo, hi)`` forbids
+        exactly the starts whose overlap with the span exceeds ``h``:
+        ``start ∈ [lo − width + h + 1, hi − h)``.  An overlap never
+        exceeds ``min(width, hi − lo)``, so a budget with ``h`` at or
+        above that forbids nothing.  Over-budget regions (``h < 0``)
+        still admit zero-overlap placements, so ``h`` is clamped at 0.
         """
         row = occ.row.index
         epoch = budgets.row_epoch[row]
@@ -221,7 +222,7 @@ class _BudgetTables:
             headroom = budgets.headroom
             for _, lo, hi, i in budgets.spans[row]:
                 h = headroom[i]
-                if h >= width:
+                if h >= width or h >= hi - lo:
                     continue
                 if h < 0:
                     h = 0

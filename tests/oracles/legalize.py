@@ -43,10 +43,12 @@ def _forbidden_starts(
 ) -> List[Interval]:
     """Start positions on ``row`` a budget rejects, as merged intervals.
 
-    A budget with headroom ``h < width`` over row span ``[lo, hi)``
-    forbids exactly the starts whose overlap with the span exceeds ``h``:
+    A budget with headroom ``h`` over row span ``[lo, hi)`` forbids
+    exactly the starts whose overlap with the span exceeds ``h``:
     ``start ∈ [lo − width + h + 1, hi − h)`` — derived from the tent-shaped
-    overlap function of an axis-aligned sweep.
+    overlap function of an axis-aligned sweep, whose top is
+    ``min(width, hi − lo)``: a budget with ``h`` at or above it forbids
+    nothing.
     """
     forbidden: List[Interval] = []
     for b in budgets.row_budgets(row):
@@ -56,7 +58,7 @@ def _forbidden_starts(
         # Over-budget regions (h < 0) still admit zero-overlap placements,
         # so the effective headroom for the sweep is clamped at 0.
         h = max(b.max_used - b.used, 0)
-        if h >= width:
+        if h >= min(width, len(span)):
             continue
         lo = max(span.lo - width + h + 1, 0)
         hi = min(span.hi - h, max_site)
