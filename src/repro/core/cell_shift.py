@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FlowError
 from repro.layout.gaps import GapGraph
@@ -121,97 +121,14 @@ def _shift_pass(
 
 def _exploitable_sites(layout: Layout, thresh_er: int) -> int:
     """Total free sites inside exploitable-weight components."""
-    return sum(
-        c.weight for c in layout.gap_graph().exploitable_components(thresh_er)
-    )
+    return layout.gap_graph().exploitable(thresh_er)[0]
 
 
 #: The free gaps of the row below, sorted and disjoint, as three parallel
-#: lists: starts, ends and the weight of each gap's component.  The
-#: planner merges components by rewriting the weights in place.
+#: lists: starts, ends and the weight of each gap's component
+#: (:meth:`GapGraph.last_row`).  The planner merges components by
+#: rewriting the weights in place.
 _Below = Tuple[List[int], List[int], List[int]]
-
-
-class _IncrementalBelow:
-    """Incremental below-row component weights for the bottom-up re-space.
-
-    ``_respace_pass`` finalizes row ``r`` before visiting row ``r+1``, so
-    the gap graph over rows ``0..r`` can be grown one row at a time instead
-    of rebuilt from scratch per row (which is quadratic in rows).  The
-    union-find partition — and hence every component weight — is identical
-    to :func:`_graph_upto`'s regardless of union order.
-    """
-
-    __slots__ = ("parent", "size", "weight", "prev")
-
-    def __init__(self) -> None:
-        self.parent: List[int] = []
-        self.size: List[int] = []
-        self.weight: List[int] = []
-        #: (lo, hi, node) triples of the last row added.
-        self.prev: List[tuple] = []
-
-    def _find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.weight[ra] += self.weight[rb]
-
-    def add_row(self, gaps: Sequence[Tuple[int, int]]) -> None:
-        """Append the next row's final free gaps, ``(lo, hi)`` left to right."""
-        parent, size, weight = self.parent, self.size, self.weight
-        cur = []
-        for lo, hi in gaps:
-            node = len(parent)
-            parent.append(node)
-            size.append(1)
-            weight.append(hi - lo)
-            cur.append((lo, hi, node))
-        prev = self.prev
-        i = j = 0
-        while i < len(prev) and j < len(cur):
-            a, b = prev[i], cur[j]
-            if a[0] < b[1] and b[0] < a[1]:
-                self._union(a[2], b[2])
-            if a[1] <= b[1]:
-                i += 1
-            else:
-                j += 1
-        self.prev = cur
-
-    def below_gaps(self) -> _Below:
-        """The last added row's gaps with their component weights."""
-        prev = self.prev
-        return (
-            [lo for lo, _, _ in prev],
-            [hi for _, hi, _ in prev],
-            [self.weight[self._find(node)] for _, _, node in prev],
-        )
-
-    def exploitable(self, thresh_er: int) -> Tuple[int, int]:
-        """Free sites and number of the components weighing ``thresh_er`` up.
-
-        Once every row is added these are the gap graph's exploitable
-        sites and ``len(exploitable_components(thresh_er))``.
-        """
-        sites = count = 0
-        weight = self.weight
-        for node, up in enumerate(self.parent):
-            if up == node and weight[node] >= thresh_er:
-                sites += weight[node]
-                count += 1
-        return sites, count
 
 
 def _max_chain_gap(
@@ -485,7 +402,7 @@ def _respace_pass(
     quota: int,
     gap_cap: Optional[int],
     direction_mode: str,
-) -> Tuple[Dict[int, List[int]], _IncrementalBelow, int, int]:
+) -> Tuple[Dict[int, List[int]], GapGraph, int, int]:
     """Plan one constructive row re-spacing pass (the default CS strategy).
 
     Processes rows bottom-up.  Within each row, movable cells are re-spaced
@@ -502,19 +419,18 @@ def _respace_pass(
     so nothing is written.  ``gap_cap`` caps every gap, or is ``None``.
 
     Returns:
-        ``(moved, tracker, moves, shifted_sites)``: the new starts of every
-        row the pass changes, the union-find over all rows after the pass
-        (the gap graph's partition), and the number and total distance of
-        the pass's cell moves.
+        ``(moved, graph, moves, shifted_sites)``: the new starts of every
+        row the pass changes, the gap graph of all rows after the pass,
+        and the number and total distance of the pass's cell moves.
     """
-    tracker = _IncrementalBelow()
+    graph = GapGraph()
     moved: Dict[int, List[int]] = {}
     moves = shifted_sites = 0
     for row_idx, cells in enumerate(rows):
         old = starts[row_idx]
         new = old
         if cells.segments:
-            below = tracker.below_gaps()
+            below = graph.last_row()
             # "alternate": adjacent rows park their gaps (and leftover
             # tails) at opposite ends — best when most rows absorb their
             # free budget.  "forward": every row scans rightward,
@@ -559,10 +475,10 @@ def _respace_pass(
                         shifted_sites += abs(start - old[i])
             if new is not old:
                 moved[row_idx] = new
-        # The row is final now; extend the incremental gap graph so the
-        # next row reads its below-weights without a full rebuild.
-        tracker.add_row(cells.gaps(new))
-    return moved, tracker, moves, shifted_sites
+        # The row is final now; grow the gap graph by it so the next row
+        # reads its below-weights without a full rebuild.
+        graph.add_row(cells.gaps(new))
+    return moved, graph, moves, shifted_sites
 
 
 def _write_rows(layout: Layout, starts: List[List[int]]) -> None:
@@ -621,10 +537,10 @@ def _respace(
         for _ in range(MAX_ROUNDS):
             if best <= 0:
                 break
-            moved, tracker, pass_moves, pass_sites = _respace_pass(
+            moved, graph, pass_moves, pass_sites = _respace_pass(
                 rows, starts, quota, gap_cap, mode
             )
-            now, components = tracker.exploitable(thresh_er)
+            now, components = graph.exploitable(thresh_er)
             if now >= best:
                 # A non-improving pass is dropped: keep the state that
                 # produced `best`.
@@ -699,11 +615,9 @@ def cell_shift(
     if strategy not in ("respace", "greedy"):
         raise FlowError(f"unknown cell-shift strategy {strategy!r}")
     report = CellShiftReport()
-    # The gap graph's exploitable sites and components, grown row by row.
-    tracker = _IncrementalBelow()
-    for occ in layout.occupancy:
-        tracker.add_row([(iv.lo, iv.hi) for iv in occ.free_intervals()])
-    sites_before, report.regions_before = tracker.exploitable(thresh_er)
+    sites_before, report.regions_before = layout.gap_graph().exploitable(
+        thresh_er
+    )
     if strategy == "respace":
 
         def distance_aware() -> float:
@@ -725,7 +639,5 @@ def cell_shift(
         if now >= best:
             break
         best = now
-    report.regions_after = len(
-        layout.gap_graph().exploitable_components(thresh_er)
-    )
+    report.regions_after = layout.gap_graph().exploitable(thresh_er)[1]
     return report

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,12 +52,14 @@ class PinTable:
         net_sink_ports: Per net, the output ports it feeds.
         net_sinks: Per net, its sink count (pins plus ports).
         inst_nets: Per instance, its distinct net indices.
+        fillers: Names of the filler instances, whose sites an attacker
+            may take (Definition 2.2 counts them as exploitable).
     """
 
     __slots__ = (
         "mod_count", "names", "index", "net_index", "net_pins",
         "net_driver_port", "net_sink_ports", "net_sinks", "inst_nets",
-        "_slots",
+        "fillers", "_slots",
     )
 
     def __init__(self, netlist: Netlist) -> None:
@@ -91,6 +93,9 @@ class PinTable:
             )
             for inst in netlist.instances
         ]
+        self.fillers: FrozenSet[str] = frozenset(
+            inst.name for inst in netlist.instances if inst.is_filler
+        )
         self._slots: Optional[Tuple[np.ndarray, np.ndarray, List[str]]] = None
 
     def net_slots(self) -> Tuple[np.ndarray, np.ndarray, List[str]]:

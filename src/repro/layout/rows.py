@@ -83,8 +83,9 @@ class RowOccupancy:
         self.row = row
         self._starts: List[int] = []  # parallel to _items, sorted
         self._items: List[RowPlacement] = []
-        #: bumped on every occupancy mutation; the vectorized kernels key
-        #: their per-row bitmap caches on (occupancy, version).
+        #: bumped on every occupancy mutation; a route plan's layout
+        #: stamp holds every row's version, so a moved cell shows a plan
+        #: is stale.
         self.version = 0
         #: the free sites as an int: bit ``s`` is set when site ``s`` is
         #: free.  Every mutation keeps it current.
