@@ -11,7 +11,7 @@ capacity — is the congestion signal for DRC counting and rip-up.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -99,18 +99,28 @@ class RoutingGrid:
         """Sum of overflow over all bins (tracks)."""
         return float(self.overflow_map().sum())
 
+    def free_tracks(self) -> np.ndarray:
+        """Per (layer, gcell) unused tracks: ``max(capacity - usage, 0)``."""
+        return np.maximum(self.capacity - self.usage, 0.0)
+
     def free_tracks_total(self) -> float:
         """Unused track capacity over the entire core (all layers)."""
-        return float(np.maximum(self.capacity - self.usage, 0.0).sum())
+        return float(self.free_tracks().sum())
 
-    def free_tracks_over(self, rect: Rect) -> float:
+    def free_tracks_over(
+        self, rect: Rect, free: Optional[np.ndarray] = None
+    ) -> float:
         """Unused tracks over µm region ``rect``, pro-rated by area overlap.
 
         This is the paper's *Free Routing Tracks* primitive: the routing
         resource an attacker could still use above a given region.
+        ``free`` is :meth:`free_tracks` of the grid as it stands, built
+        here when not given; a caller asking about many rectangles
+        builds it once.
         """
         total = 0.0
-        free = np.maximum(self.capacity - self.usage, 0.0)
+        if free is None:
+            free = self.free_tracks()
         for ix, iy in self.gcells_in_rect(rect):
             cell_rect = self.gcell_rect(ix, iy)
             overlap = cell_rect.intersection(rect)
