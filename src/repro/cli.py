@@ -60,6 +60,21 @@ def _build_guard(design, check_invariants: bool = False):
     )
 
 
+def _hardened(args: argparse.Namespace, design):
+    """The ``--hardened`` target: CS with the ``--rws`` scales on a guard.
+
+    Returns its layout, routing and STA result.
+    """
+    from repro.timing.sta import run_sta
+
+    config = FlowConfig(
+        "CS", 2, 1, _parse_scales(args.rws, design.technology.num_layers)
+    )
+    result = _build_guard(design).run(config)
+    sta = run_sta(result.layout, design.constraints, routing=result.routing)
+    return result.layout, result.routing, sta
+
+
 def _parse_scales(raw: str, num_layers: int) -> tuple:
     try:
         parts = [float(x) for x in raw.split(",")] if raw else [1.0]
@@ -214,7 +229,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     from repro.security.trojan import attempt_insertion
-    from repro.timing.sta import run_sta
 
     campaign_mode = (
         args.grid is not None
@@ -225,13 +239,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if campaign_mode:
         return _cmd_attack_campaign(args, d)
     if args.hardened:
-        guard = _build_guard(d)
-        result = guard.run(
-            FlowConfig("CS", 2, 1,
-                       _parse_scales(args.rws, d.technology.num_layers))
-        )
-        layout, routing = result.layout, result.routing
-        sta = run_sta(layout, d.constraints, routing=routing)
+        layout, routing, sta = _hardened(args, d)
     else:
         layout, routing, sta = d.layout, d.routing, d.sta
     report = attempt_insertion(layout, sta, d.assets, routing=routing)
@@ -308,29 +316,22 @@ def _cmd_attack_campaign(args: argparse.Namespace, d) -> int:
         )
 
     targets = [("baseline", surface("baseline", d.layout, d.sta, d.routing))]
-    hardened_configs = []
+    front = (
+        _load_front_configs(args.front, d.technology.num_layers)
+        if args.front else []
+    )
     if args.hardened:
-        hardened_configs.append((
-            "hardened",
-            FlowConfig("CS", 2, 1,
-                       _parse_scales(args.rws, d.technology.num_layers)),
-        ))
-    if args.front:
-        hardened_configs.extend(
-            (f"front-{i}", config)
-            for i, config in enumerate(
-                _load_front_configs(args.front, d.technology.num_layers)
-            )
-        )
-    if hardened_configs:
+        layout, routing, sta = _hardened(args, d)
+        targets.append(("hardened", surface("hardened", layout, sta, routing)))
+    if front:
         guard = _build_guard(d)
-        for target_id, config in hardened_configs:
+        for i, config in enumerate(front):
             result = guard.run(config)
             sta = run_sta(result.layout, d.constraints,
                           routing=result.routing)
             targets.append(
-                (target_id,
-                 surface(target_id, result.layout, sta, result.routing))
+                (f"front-{i}",
+                 surface(f"front-{i}", result.layout, sta, result.routing))
             )
     campaign = AttackCampaign(
         targets,
@@ -387,12 +388,7 @@ def cmd_signoff(args: argparse.Namespace) -> int:
 
     d = build_design(args.design)
     if args.hardened:
-        guard = _build_guard(d)
-        result = guard.run(
-            FlowConfig("CS", 2, 1,
-                       _parse_scales(args.rws, d.technology.num_layers))
-        )
-        layout, routing = result.layout, result.routing
+        layout, routing, _ = _hardened(args, d)
     else:
         layout, routing = d.layout, d.routing
     mc = run_multi_corner_sta(layout, d.constraints, routing=routing)
@@ -407,17 +403,10 @@ def cmd_signoff(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.reporting.security_report import security_report
-    from repro.timing.sta import run_sta
 
     d = build_design(args.design)
     if args.hardened:
-        guard = _build_guard(d)
-        result = guard.run(
-            FlowConfig("CS", 2, 1,
-                       _parse_scales(args.rws, d.technology.num_layers))
-        )
-        layout, routing = result.layout, result.routing
-        sta = run_sta(layout, d.constraints, routing=routing)
+        layout, routing, sta = _hardened(args, d)
         title = f"{args.design} (GDSII-Guard hardened)"
     else:
         layout, routing, sta = d.layout, d.routing, d.sta
